@@ -130,10 +130,11 @@ def cmd_packing(args) -> int:
     budget = _budget(args)
     store = packing.PackingStore()
     m = k + 1
-    result = store.load(args.n, m, budget, args.seed)
+    rng = RngStream(args.seed)
+    result = store.load(args.n, m, budget, rng)
     if result is None:
-        result = packing.optimize_packing(args.n, m, budget, RngStream(args.seed), args.threads)
-        store.save(args.n, m, budget, args.seed, result)
+        result = packing.optimize_packing(args.n, m, budget, rng, args.threads)
+        store.save(args.n, m, budget, rng, result)
     row = result.to_json_dict()
     row.update({"n": args.n, "m": m, "min_dist_over_pi": result.min_dist / np.pi})
     _emit([row], args.format, args.out)

@@ -3,7 +3,7 @@
 Points of RP^n are represented by canonically-signed unit vectors in S^n with
 the distance arccos|<x, y>|.  The optimizer maximizes the minimum pairwise
 distance with a smoothed max-min ascent (soft-min energy under a sharpening
-schedule) followed by direct polishing of the minimum pairs, over parallel
+schedule) followed by direct polishing of the minimum pairs, over a batch of
 restarts.  The resulting minimum distance is always re-verified from the
 points, so every result is a certified lower bound for the packing value it
 estimates.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,12 +23,18 @@ import numpy as np
 from . import geometry, serialize
 from .distortion import SearchBudget
 from .parallel import run_shards, shard_sizes
-from .pointsets import positive_arcs
+from .pointsets import arc_rows, cross_polytope_vdiam_exact
 from .rng import RngStream
 
 BETA_SCHEDULE = (8.0, 32.0, 128.0, 512.0)
 
 CACHE_ENV = "SPHERECORR_CACHE"
+
+# Version of the PackingStore key and entry layout; bump it when either changes.
+STORE_FORMAT = 2
+
+# Largest deviation from unit length a cached row may show.
+UNIT_NORM_TOL = 1e-12
 
 DEFAULT_PACKING_BUDGET = SearchBudget(
     samples=1600, refine_iters=400, initial_step=0.08, decay=0.9, restarts=16
@@ -35,10 +42,18 @@ DEFAULT_PACKING_BUDGET = SearchBudget(
 
 
 def projective_gram(points: np.ndarray) -> np.ndarray:
-    """Pairwise projective distances, with +inf on the diagonal."""
-    cos = np.abs(points @ points.T)
-    d = np.arccos(geometry.clip_cosine(cos))
-    np.fill_diagonal(d, np.inf)
+    """Pairwise projective distances, with +inf on the diagonal.
+
+    ``points`` is one (m, n+1) configuration or an (R, m, n+1) stack of them.
+    """
+    return _gram_distances(points @ np.swapaxes(points, -1, -2))
+
+
+def _gram_distances(gram: np.ndarray) -> np.ndarray:
+    """Projective distances from Gram matrices of unit rows, +inf on the diagonals."""
+    d = np.arccos(geometry.clip_cosine(np.abs(gram)))
+    m = d.shape[-1]
+    d.reshape(-1, m * m)[:, :: m + 1] = np.inf
     return d
 
 
@@ -109,99 +124,86 @@ class CoveringResult:
 # Optimizer
 # ---------------------------------------------------------------------------
 
-def _arc_start(n: int, m: int) -> np.ndarray:
-    """Warm start: basis vectors plus evenly spread arc points (m > n+1)."""
-    base = np.eye(n + 1)
-    if m <= n + 1:
-        return base[:m]
-    arcs = positive_arcs(n)
-    budget = m - (n + 1)
-    per_arc = -(-budget // len(arcs))
-    rows = [base]
-    for a, b in arcs:
-        if budget == 0:
-            break
-        take = min(per_arc, budget)
-        budget -= take
-        t = (np.arange(1, take + 1) / (take + 1)) * (np.pi / 2)
-        rows.append(np.outer(np.cos(t), a) + np.outer(np.sin(t), b))
-    return np.vstack(rows)
+def _soft_ascent(x: np.ndarray, iters_per_beta: int, step0: float) -> np.ndarray:
+    """Ascend the soft-min energy of every restart through the sharpening schedule.
 
-
-def _soft_ascent(points: np.ndarray, iters_per_beta: int, step0: float) -> np.ndarray:
-    """Ascend the soft-min energy through the sharpening schedule."""
-    x = points.copy()
+    ``x`` is an (R, m, n+1) stack of starts.  A restart whose weights or
+    gradient vanish stops moving until the next beta stage.
+    """
+    x = x.copy()
     for beta in BETA_SCHEDULE:
         step = step0
         shrink = (1e-2) ** (1.0 / max(iters_per_beta, 1))
+        live = np.ones(len(x), dtype=bool)
         for _ in range(iters_per_beta):
-            gram = x @ x.T
-            d = np.arccos(geometry.clip_cosine(np.abs(gram)))
-            np.fill_diagonal(d, np.inf)
-            w = np.exp(-beta * (d - d.min()))
-            np.fill_diagonal(w, 0.0)
-            total = w.sum()
-            if total <= 0:
-                break
-            w /= total
+            gram = x @ x.transpose(0, 2, 1)
+            d = _gram_distances(gram)
+            w = np.exp(-beta * (d - d.min(axis=(1, 2), keepdims=True)))  # 0 on the diagonal
+            total = w.reshape(len(x), -1).sum(axis=1)
+            live &= total > 0
+            w /= np.where(live, total, 1.0)[:, None, None]
             sin = np.sqrt(np.maximum(1.0 - np.minimum(np.abs(gram), 1.0) ** 2, 1e-12))
             coef = -w * np.sign(gram) / sin
             grad = coef @ x
-            grad -= np.einsum("ij,ij->i", grad, x)[:, None] * x
-            top = float(np.max(np.linalg.norm(grad, axis=1)))
-            if top < 1e-300:
+            grad -= np.einsum("rij,rij->ri", grad, x)[..., None] * x
+            top = np.max(np.linalg.norm(grad, axis=-1), axis=1)
+            live &= top >= 1e-300
+            if not live.any():
                 break
-            x = geometry.normalize_rows(x + (step / top) * grad)
+            scale = step / np.where(live, top, 1.0)
+            moved = geometry.normalize_rows(x + scale[:, None, None] * grad)
+            x = np.where(live[:, None, None], moved, x)
             step *= shrink
     return x
 
 
-def _circle_polish(points: np.ndarray, iters: int) -> np.ndarray:
-    """Gap-diffusion polish on the projective circle (n = 1).
+def _circle_polish(x: np.ndarray, iters: int) -> np.ndarray:
+    """Gap-diffusion polish on the projective circle (n = 1), per restart.
 
     Lines through the origin of R^2 live on a circle of circumference pi;
     averaging adjacent gaps converges to even spacing, the max-min optimum in
     one dimension, far faster than pairwise nudging.
     """
-    angles = np.sort(np.mod(np.arctan2(points[:, 1], points[:, 0]), np.pi))
+    angles = np.sort(np.mod(np.arctan2(x[..., 1], x[..., 0]), np.pi), axis=1)
     for _ in range(iters):
-        gaps = np.diff(np.append(angles, angles[0] + np.pi))
-        angles = angles + (gaps - np.roll(gaps, 1)) / 4.0
-        angles = np.sort(angles)
-    return np.column_stack([np.cos(angles), np.sin(angles)])
+        gaps = np.diff(np.append(angles, angles[:, :1] + np.pi, axis=1), axis=1)
+        angles = angles + (gaps - np.roll(gaps, 1, axis=1)) / 4.0
+        angles = np.sort(angles, axis=1)
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
-def _polish(points: np.ndarray, iters: int, step0: float, decay: float) -> tuple[np.ndarray, int]:
-    """Greedy max-min polish: push apart only the pairs realizing the minimum."""
-    x = points.copy()
-    best = min_pair_distance(x)
-    step = step0
-    used = 0
+def _polish(x: np.ndarray, iters: int, step0: float, decay: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy max-min polish of every restart in an (R, m, n+1) stack.
+
+    Only the pairs realizing a restart's minimum are pushed apart.  Returns
+    the polished stack and the iterations each restart used.
+    """
+    x = x.copy()
+    count, m = x.shape[:2]
+    upper = np.triu(np.ones((m, m), dtype=bool), 1)
+    best = projective_gram(x).min(axis=(1, 2))
+    step = np.full(count, step0)
+    used = np.zeros(count, dtype=int)
+    run = np.ones(count, dtype=bool)
     for it in range(iters):
-        used = it + 1
-        d = projective_gram(x)
-        tight = np.argwhere(d <= d.min() + 1e-12)
-        move = np.zeros_like(x)
-        for i, j in tight:
-            if i < j:
-                g = float(x[i] @ x[j])
-                move[i] += -np.sign(g) * x[j]
-                move[j] += -np.sign(g) * x[i]
-        norms = np.linalg.norm(move, axis=1)
+        used[run] = it + 1
+        gram = x @ x.transpose(0, 2, 1)
+        d = _gram_distances(gram)
+        tight = d <= d.min(axis=(1, 2), keepdims=True) + 1e-12
+        c = np.where(tight & upper, -np.sign(gram), 0.0)
+        move = c @ x + c.transpose(0, 2, 1) @ x
+        norms = np.linalg.norm(move, axis=-1)
         active = norms > 1e-300
-        if not np.any(active):
+        run &= active.any(axis=1)
+        if not run.any():
             break
-        trial = x.copy()
-        trial[active] += step * move[active] / norms[active][:, None]
-        trial = geometry.normalize_rows(trial)
-        val = min_pair_distance(trial)
-        if val > best:
-            x, best = trial, val
-            step = min(step * 1.2, 0.3)
-        else:
-            step *= decay
-            if step < 1e-13:
-                break
+        pushed = x + step[:, None, None] * move / np.where(active, norms, 1.0)[..., None]
+        trial = geometry.normalize_rows(np.where(active[..., None], pushed, x))
+        val = projective_gram(trial).min(axis=(1, 2))
+        better = run & (val > best)
+        x[better], best[better] = trial[better], val[better]
+        step = np.where(better, np.minimum(step * 1.2, 0.3), np.where(run, step * decay, step))
+        run &= better | (step >= 1e-13)
     return x, used
 
 
@@ -214,10 +216,12 @@ def optimize_packing(
 ) -> PackingResult:
     """Maximize the minimum pairwise projective distance of m points in RP^n.
 
-    Runs ``budget.restarts`` independent starts (basis / arc-augmented warm
-    starts plus random configurations), each ascended and polished; keeps the
-    best.  ``min_dist`` of the result is re-verified directly from the
-    returned points.
+    Runs ``budget.restarts`` starts (the arc-augmented warm start plus random
+    configurations drawn from ``rng.child(i)``), ascended and polished
+    together as one (restarts, m, n+1) batch; keeps the best.  ``min_dist``
+    of the result is re-verified directly from the returned points.
+    ``threads`` is accepted for signature compatibility and does not affect
+    the work or the result.
     """
     if n < 1:
         raise ValueError("projective dimension must be >= 1")
@@ -225,25 +229,20 @@ def optimize_packing(
         raise ValueError("need at least two points to pack")
     budget = DEFAULT_PACKING_BUDGET if budget is None else budget
     iters_per_beta = max(1, budget.samples // len(BETA_SCHEDULE))
-
-    def work(index, _count, shard_rng):
-        if index == 0:
-            start = _arc_start(n, m)
-        else:
-            start = geometry.sample_uniform_many(n, m, shard_rng)
-        x = _soft_ascent(start, iters_per_beta, budget.initial_step)
-        if n == 1:
-            x = _circle_polish(x, budget.refine_iters)
-        x, used = _polish(x, budget.refine_iters, budget.initial_step, budget.decay)
-        x = canonicalize_signs(geometry.normalize_rows(x))
-        return min_pair_distance(x), x, iters_per_beta * len(BETA_SCHEDULE) + used
-
-    results = run_shards(work, [1] * budget.restarts, rng, threads)
+    starts = [arc_rows(n, m)] + [
+        geometry.sample_uniform_many(n, m, rng.child(i)) for i in range(1, budget.restarts)
+    ]
+    x = _soft_ascent(np.stack(starts), iters_per_beta, budget.initial_step)
+    if n == 1:
+        x = _circle_polish(x, budget.refine_iters)
+    x, used = _polish(x, budget.refine_iters, budget.initial_step, budget.decay)
     best_val, best_x, best_iters = -1.0, None, 0
-    for val, x, used in results:
-        key = x.tolist()
+    for points, steps in zip(x, used):
+        points = canonicalize_signs(geometry.normalize_rows(points))
+        val = min_pair_distance(points)
+        key = points.tolist()
         if val > best_val or (val == best_val and best_x is not None and key < best_x.tolist()):
-            best_val, best_x, best_iters = val, x, used
+            best_val, best_x, best_iters = val, points, iters_per_beta * len(BETA_SCHEDULE) + int(steps)
     return PackingResult(
         points=best_x,
         min_dist=best_val,
@@ -308,10 +307,6 @@ def covering_radius_estimate(
 # Bounds
 # ---------------------------------------------------------------------------
 
-def cross_polytope_cell_diameter(k: int) -> float:
-    return float(np.arccos(-(k - 1.0) / (k + 1.0)))
-
-
 def packing_bound_terms(n: int, k: int, p_lower: float) -> dict:
     """The three competing terms of the packing-based distortion bound.
 
@@ -324,7 +319,7 @@ def packing_bound_terms(n: int, k: int, p_lower: float) -> dict:
     if not 0.0 < p_lower <= np.pi / 2:
         raise ValueError("packing distance must lie in (0, pi/2]")
     return {
-        "cell_diameter": cross_polytope_cell_diameter(k),
+        "cell_diameter": cross_polytope_vdiam_exact(k),
         "pi_minus_p": np.pi - p_lower,
         "two_p": 2.0 * p_lower,
     }
@@ -389,37 +384,64 @@ def euclidean_bound(two_dgh_geodesic: float) -> float:
 # ---------------------------------------------------------------------------
 
 class PackingStore:
-    """Directory of best-known packings, keyed by (n, m, budget, seed)."""
+    """Directory of best-known packings, keyed by (n, m, budget, stream).
+
+    The key holds the full stream path the packing was optimized on and the
+    entry format version, so a lookup only finds what the same call would
+    compute.  Entries are replaced atomically, and an entry that cannot be
+    read or does not describe m unit vectors in R^{n+1} is a cache miss.
+    """
 
     def __init__(self, root: str | Path | None = None):
         if root is None:
             root = os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "spherecorr"
         self.root = Path(root)
 
-    def _path(self, n: int, m: int, budget: SearchBudget, seed: int) -> Path:
+    def _path(self, n: int, m: int, budget: SearchBudget, rng: RngStream) -> Path:
         blob = serialize.dumps(
             {
+                "format": STORE_FORMAT,
                 "samples": budget.samples,
                 "refine_iters": budget.refine_iters,
                 "initial_step": budget.initial_step,
                 "decay": budget.decay,
                 "restarts": budget.restarts,
-                "seed": seed,
+                "seed": rng.seed,
+                "stream": list(rng.stream),
             }
         )
         digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
         return self.root / f"pack_n{n}_m{m}_{digest}.json"
 
-    def load(self, n: int, m: int, budget: SearchBudget, seed: int) -> PackingResult | None:
-        path = self._path(n, m, budget, seed)
-        if not path.exists():
+    def load(self, n: int, m: int, budget: SearchBudget, rng: RngStream) -> PackingResult | None:
+        try:
+            data = json.loads(self._path(n, m, budget, rng).read_text())
+            if data["n"] != n or data["m"] != m:
+                return None
+            result = PackingResult.from_json_dict(data)
+        except (OSError, ValueError, KeyError, TypeError):
             return None
-        return PackingResult.from_json_dict(json.loads(path.read_text()))
+        pts = result.points
+        if pts.shape != (m, n + 1) or not np.all(np.isfinite(pts)):
+            return None
+        if np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) > UNIT_NORM_TOL:
+            return None
+        return result
 
-    def save(self, n: int, m: int, budget: SearchBudget, seed: int, result: PackingResult):
+    def save(self, n: int, m: int, budget: SearchBudget, rng: RngStream, result: PackingResult):
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(n, m, budget, seed)
-        path.write_text(serialize.dumps(result.to_json_dict()))
+        path = self._path(n, m, budget, rng)
+        entry = dict(result.to_json_dict(), n=n, m=m)
+        handle = tempfile.NamedTemporaryFile(
+            "w", dir=self.root, prefix=path.stem, suffix=".tmp", delete=False
+        )
+        try:
+            with handle:
+                handle.write(serialize.dumps(entry))
+            os.replace(handle.name, path)
+        except BaseException:
+            Path(handle.name).unlink(missing_ok=True)
+            raise
 
 
 def asymptotic_table(
@@ -443,11 +465,12 @@ def asymptotic_table(
         if k <= n:
             raise ValueError(f"every k must exceed n; got k={k}, n={n}")
         m = k + 1
-        result = store.load(n, m, budget, rng.seed) if store is not None else None
+        stream = rng.child(int(k))
+        result = store.load(n, m, budget, stream) if store is not None else None
         if result is None:
-            result = optimize_packing(n, m, budget, rng.child(int(k)), threads)
+            result = optimize_packing(n, m, budget, stream, threads)
             if store is not None:
-                store.save(n, m, budget, rng.seed, result)
+                store.save(n, m, budget, stream, result)
         bound, _ = best_bound(n, k, result.min_dist)
         gap = np.pi - bound
         rows.append(

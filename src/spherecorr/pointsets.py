@@ -141,6 +141,32 @@ def positive_arcs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return arcs
 
 
+def arc_rows(n: int, count: int) -> np.ndarray:
+    """The first ``count`` rows of the arc construction in R^{n+1}.
+
+    Basis vectors come first; the remaining rows sit in the interiors of the
+    positive arcs at even arc-length fractions, filling arcs in the fixed
+    order of :func:`positive_arcs` with at most ceil(extra / n(n+1)) each.
+    Rows are unit vectors up to roundoff and are not renormalized.
+    """
+    base = np.eye(n + 1)
+    if count <= n + 1:
+        return base[:count]
+    rows = [base]
+    arcs = positive_arcs(n)
+    budget = count - (n + 1)
+    per_arc = -(-budget // len(arcs))  # ceil
+    for a, b in arcs:
+        if budget == 0:
+            break
+        take = min(per_arc, budget)
+        budget -= take
+        fracs = np.arange(1, take + 1) / (take + 1)
+        t = fracs * (np.pi / 2)  # arcs between non-antipodal axes have length pi/2
+        rows.append(np.outer(np.cos(t), a) + np.outer(np.sin(t), b))
+    return np.vstack(rows)
+
+
 def arc_augmented_set(n: int, k: int) -> AntipodalSet:
     """Cross-polytope vertices of S^n plus k-n arc points, 2(k+1) points total.
 
@@ -155,20 +181,7 @@ def arc_augmented_set(n: int, k: int) -> AntipodalSet:
         raise ValueError("the arc construction needs sphere dimension n >= 2")
     if k <= n:
         raise ValueError("need k > n so there are arc points to place")
-    reps = [np.eye(n + 1)]
-    arcs = positive_arcs(n)
-    budget = k - n
-    per_arc = -(-budget // len(arcs))  # ceil
-    for a, b in arcs:
-        if budget == 0:
-            break
-        take = min(per_arc, budget)
-        budget -= take
-        fracs = np.arange(1, take + 1) / (take + 1)
-        t = fracs * (np.pi / 2)  # arcs between non-antipodal axes have length pi/2
-        pts = np.outer(np.cos(t), a) + np.outer(np.sin(t), b)
-        reps.append(pts)
-    return AntipodalSet(np.vstack(reps), label="arc-augmented")
+    return AntipodalSet(arc_rows(n, k + 1), label="arc-augmented")
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,19 @@ def test_packing_command_and_cache(capsys, tmp_path):
     assert out1 == out2
 
 
+def test_packing_output_does_not_depend_on_cache_state(capsys, tmp_path, monkeypatch):
+    args = ("packing", "--n", "2", "--k", "8", "--seed", "5")
+    code, fresh = run_cli(capsys, *args)
+    assert code == 0
+    # table optimizes the same (n, m) on another stream and caches it
+    monkeypatch.setenv("SPHERECORR_CACHE", str(tmp_path / "after-table"))
+    code, _ = run_cli(capsys, "table", "--n", "2", "--k", "8..8", "--seed", "5")
+    assert code == 0
+    code, after_table = run_cli(capsys, *args)
+    assert code == 0
+    assert after_table == fresh
+
+
 def test_packing_usage_error(capsys):
     code, _ = run_cli(capsys, "packing", "--n", "2", "--k", "2")
     assert code == 2

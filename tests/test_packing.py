@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -13,7 +15,8 @@ from spherecorr import (
     optimize_packing,
     packing_bound,
 )
-from spherecorr import packing
+from spherecorr import geometry, packing
+from spherecorr.pointsets import arc_rows
 from spherecorr.serialize import dumps
 
 FAST = SearchBudget(samples=1200, refine_iters=300, initial_step=0.08, decay=0.9, restarts=12)
@@ -92,6 +95,42 @@ def test_basis_configurations_reach_diameter():
     for m in (2, 3):
         result = optimize_packing(2, m, FAST, RngStream(4))
         assert result.min_dist == pytest.approx(np.pi / 2, abs=1e-6)
+
+
+def test_welch_bound_caps_packings():
+    # m lines in R^d pack at most at arccos sqrt((m-d)/(d(m-1))) (Welch 1974)
+    results = {}
+    for n, m in ((1, 3), (1, 5), (2, 4), (2, 6), (2, 7), (3, 5), (3, 8), (4, 9)):
+        d = n + 1
+        welch = np.arccos(np.sqrt((m - d) / (d * (m - 1))))
+        results[n, m] = optimize_packing(n, m, FAST, RngStream(15).child(n, m))
+        assert results[n, m].min_dist <= welch + 1e-12, (n, m)
+    # and the bound is tight for 6 lines in RP^2 (Conway-Hardin-Sloane 1996)
+    assert abs(results[2, 6].min_dist - np.arccos(1 / np.sqrt(5))) <= 1e-3
+
+
+@pytest.mark.parametrize("n, m", [(1, 4), (2, 3), (2, 6), (3, 9)])
+def test_batched_restarts_do_not_mix(n, m):
+    # every restart of a batch must follow exactly the path it follows alone;
+    # at m <= n+1 the basis start has no tight pair to push and stops at once
+    starts = np.stack(
+        [arc_rows(n, m)]
+        + [geometry.sample_uniform_many(n, m, RngStream(14).child(i)) for i in range(1, 5)]
+    )
+
+    def run(x):
+        x = packing._soft_ascent(x, 100, 0.08)
+        if n == 1:
+            x = packing._circle_polish(x, 100)
+        return packing._polish(x, 100, 0.08, 0.9)
+
+    x, used = run(starts)
+    for r in range(len(starts)):
+        alone, alone_used = run(starts[r:r + 1])
+        assert np.array_equal(x[r], alone[0]), r
+        assert used[r] == alone_used[0], r
+    if m <= n + 1:
+        assert used[0] == 1 < used.max()
 
 
 def test_min_dist_reverified_from_points():
@@ -192,12 +231,75 @@ def test_euclidean_bound():
 def test_store_roundtrip(tmp_path):
     store = PackingStore(tmp_path)
     result = optimize_packing(2, 4, FAST, RngStream(12))
-    store.save(2, 4, FAST, 12, result)
-    loaded = store.load(2, 4, FAST, 12)
+    store.save(2, 4, FAST, RngStream(12), result)
+    loaded = store.load(2, 4, FAST, RngStream(12))
     assert loaded is not None
     assert loaded.min_dist == pytest.approx(result.min_dist, abs=1e-15)
     assert np.allclose(loaded.points, result.points, atol=0)
-    assert store.load(2, 4, FAST, 13) is None
+    assert store.load(2, 4, FAST, RngStream(13)) is None
+
+
+def test_store_keys_on_stream_path_and_format(tmp_path, monkeypatch):
+    store = PackingStore(tmp_path)
+    result = optimize_packing(2, 4, FAST, RngStream(12).child(3))
+    store.save(2, 4, FAST, RngStream(12).child(3), result)
+    assert store.load(2, 4, FAST, RngStream(12).child(3)) is not None
+    assert store.load(2, 4, FAST, RngStream(12)) is None
+    assert store.load(2, 4, FAST, RngStream(12).child(4)) is None
+    monkeypatch.setattr(packing, "STORE_FORMAT", packing.STORE_FORMAT + 1)
+    assert store.load(2, 4, FAST, RngStream(12).child(3)) is None
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda e: e.update(n=3),
+        lambda e: e.update(m=5),
+        lambda e: e.update(points=e["points"][:3]),
+        lambda e: e.update(points=[row[:2] for row in e["points"]]),
+        lambda e: e.update(points=(1.001 * np.asarray(e["points"])).tolist()),
+    ],
+    ids=["n", "m", "rows", "columns", "norms"],
+)
+def test_store_rejects_mismatched_entry(tmp_path, tamper):
+    store = PackingStore(tmp_path)
+    result = optimize_packing(2, 4, FAST, RngStream(12))
+    store.save(2, 4, FAST, RngStream(12), result)
+    (path,) = tmp_path.glob("pack_*.json")
+    entry = json.loads(path.read_text())
+    tamper(entry)
+    path.write_text(json.dumps(entry))
+    assert store.load(2, 4, FAST, RngStream(12)) is None
+
+
+@pytest.mark.parametrize("text", ["", '{"points": [[1.0, 0.0', "[]", '{"n": 2, "m": 4}', "\xff"])
+def test_corrupt_store_entry_is_recomputed(tmp_path, text):
+    store = PackingStore(tmp_path)
+    rows = asymptotic_table(2, [3], FAST, RngStream(1), store=store)
+    (path,) = tmp_path.glob("pack_*.json")
+    path.write_text(text, encoding="latin-1")
+    assert store.load(2, 4, FAST, RngStream(1).child(3)) is None
+    assert dumps(asymptotic_table(2, [3], FAST, RngStream(1), store=store)) == dumps(rows)
+    assert store.load(2, 4, FAST, RngStream(1).child(3)) is not None
+
+
+def test_store_save_is_atomic(tmp_path, monkeypatch):
+    store = PackingStore(tmp_path)
+    result = optimize_packing(2, 4, FAST, RngStream(12))
+    store.save(2, 4, FAST, RngStream(12), result)
+    store.save(2, 4, FAST, RngStream(12), result)
+    (path,) = tmp_path.iterdir()
+    before = path.read_bytes()
+
+    def fail(_obj):
+        raise OSError("disk full")
+
+    # a save that fails mid-write leaves the old entry and no temp file
+    monkeypatch.setattr(packing.serialize, "dumps", fail)
+    with pytest.raises(OSError):
+        store.save(2, 4, FAST, RngStream(12), result)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
 
 
 def test_asymptotic_table_n3_slope_not_steeper_than_sqrt(tmp_path):
