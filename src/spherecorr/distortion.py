@@ -2,11 +2,14 @@
 
 A correspondence is exposed to the engine as a black box with two abilities:
 sample relation elements, and list the relation elements sitting over a given
-free point.  The engine draws stratified pairs of elements, tracks the
-largest value of |d_A(a, a') - d_B(b, b')|, and hill-climbs the best
-candidates while re-deriving membership after every accepted move, so every
-reported value is realized by a concrete, re-checkable witness pair and the
-estimate is a lower bound on the true distortion.
+free point.  Both samplers (uniform and the optional focus sampler) return an
+:class:`ElementBatch` whose row i is paired with row half+i.  The engine
+scores every sampled pair of either batch through one vectorized path,
+tracks the largest value of |d_A(a, a') - d_B(b, b')| per stratum pair, and
+hill-climbs the best candidates while re-deriving membership after every
+accepted move, so every reported value is realized by a concrete,
+re-checkable witness pair and the estimate is a lower bound on the true
+distortion.
 """
 
 from __future__ import annotations
@@ -59,7 +62,10 @@ class RelationElement:
 
 @dataclass
 class ElementBatch:
-    """Vectorized relation elements: row i is the element (a[i], b[i])."""
+    """Vectorized relation elements: row i is the element (a[i], b[i]).
+
+    As a batch of pairs, row i is paired with row half+i, half = len // 2.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -110,9 +116,13 @@ class Correspondence(ABC):
     @abstractmethod
     def dist_b_many(self, b1: np.ndarray, b2: np.ndarray) -> np.ndarray: ...
 
-    def sample_focus_pairs(self, count: int, rng: RngStream) -> list[tuple[RelationElement, RelationElement]]:
-        """Optional targeted candidate pairs (boundary strata etc.)."""
-        return []
+    def sample_focus_pairs(self, count: int, rng: RngStream) -> ElementBatch | None:
+        """Optional targeted pairs (boundary strata etc.), paired like a batch.
+
+        Returns an even-length batch whose row i pairs with row half+i, or
+        None when the correspondence has no focus sampler.
+        """
+        return None
 
     def element_valid(self, elem: RelationElement, tol: float | None = None) -> bool:
         """Whether ``elem`` matches some variant over its own free point."""
@@ -225,9 +235,29 @@ def refine_pair(
     return (pair_now[0], pair_now[1]), best
 
 
-def _stratum_pair_key(n_strata: int, s1: int, s2: int) -> int:
-    lo, hi = (s1, s2) if s1 <= s2 else (s2, s1)
-    return lo * n_strata + hi
+def _stratum_pair_key(n_strata: int, s1, s2):
+    """Flat index of the unordered stratum pair; works on ints and arrays."""
+    return np.minimum(s1, s2) * n_strata + np.maximum(s1, s2)
+
+
+def _scan_pairs(corr: Correspondence, batch: ElementBatch, stratum_max: np.ndarray):
+    """Objectives and stratum keys of the pairs (i, half+i) of ``batch``.
+
+    Folds the objectives into ``stratum_max`` and returns (objectives, keys).
+    """
+    half = len(batch.strata) // 2
+    lo, hi = slice(0, half), slice(half, 2 * half)
+    obj = np.abs(
+        corr.dist_a_many(batch.a[lo], batch.a[hi]) - corr.dist_b_many(batch.b[lo], batch.b[hi])
+    )
+    keys = _stratum_pair_key(corr.n_strata, batch.strata[lo], batch.strata[hi])
+    np.maximum.at(stratum_max, keys, obj)
+    return obj, keys
+
+
+def _pair_at(corr: Correspondence, batch: ElementBatch, i: int):
+    half = len(batch.strata) // 2
+    return batch.element(int(i), corr), batch.element(half + int(i), corr)
 
 
 def estimate_distortion(
@@ -248,54 +278,36 @@ def estimate_distortion(
     ns = corr.n_strata
     sizes = shard_sizes(budget.samples, SHARD_SIZE)
 
-    # Phase A (parallel, vectorized): sample pairs, record per-stratum maxima,
-    # and extract candidate pairs.  Phase B (serial in shard order) refines
-    # the candidates; each shard keeps its own child streams, so worker count
-    # never influences the result.
+    # Phase A (parallel, vectorized): score the sampled pairs of the uniform
+    # and the focus batch, record per-stratum maxima, and extract candidate
+    # pairs.  Phase B (serial in shard order) refines the candidates; each
+    # shard keeps its own child streams, so worker count never influences
+    # the result.
     def work(index, count, shard_rng):
-        batch = corr.sample_batch(count, shard_rng.child(0))
-        half = count // 2
-        i1 = np.arange(half)
-        i2 = np.arange(half, 2 * half)
-        obj = np.abs(
-            corr.dist_a_many(batch.a[i1], batch.a[i2])
-            - corr.dist_b_many(batch.b[i1], batch.b[i2])
-        )
-        keys = np.minimum(batch.strata[i1], batch.strata[i2]) * ns + np.maximum(
-            batch.strata[i1], batch.strata[i2]
-        )
         stratum_max = np.full(ns * ns, -1.0)
-        np.maximum.at(stratum_max, keys, obj)
+        batch = corr.sample_batch(count, shard_rng.child(0))
+        obj, keys = _scan_pairs(corr, batch, stratum_max)
 
         # Candidate pairs: the best sampled pair from each of the top strata.
-        order = np.argsort(-obj, kind="stable")
         candidates: list[tuple[RelationElement, RelationElement]] = []
         seen_keys: set[int] = set()
-        for idx in order:
+        for idx in np.argsort(-obj, kind="stable"):
             key = int(keys[idx])
             if key in seen_keys:
                 continue
             seen_keys.add(key)
-            candidates.append(
-                (batch.element(int(i1[idx]), corr), batch.element(int(i2[idx]), corr))
-            )
+            candidates.append(_pair_at(corr, batch, idx))
             if len(candidates) >= budget.restarts:
                 break
+        used = count
         focus = corr.sample_focus_pairs(max(2, count // 4), shard_rng.child(1))
-        if focus:
-            fvals = np.abs(
-                corr.dist_a_many(np.stack([p[0].a for p in focus]),
-                                 np.stack([p[1].a for p in focus]))
-                - corr.dist_b_many(np.asarray([p[0].b for p in focus]),
-                                   np.asarray([p[1].b for p in focus]))
+        if focus is not None:
+            fobj, _ = _scan_pairs(corr, focus, stratum_max)
+            candidates.extend(
+                _pair_at(corr, focus, idx) for idx in np.argsort(-fobj, kind="stable")[:2]
             )
-            fkeys = np.array(
-                [_stratum_pair_key(ns, p[0].stratum, p[1].stratum) for p in focus]
-            )
-            np.maximum.at(stratum_max, fkeys, fvals)
-            for idx in np.argsort(-fvals, kind="stable")[:2]:
-                candidates.append(focus[int(idx)])
-        return stratum_max, candidates, count + 2 * len(focus)
+            used += 2 * fobj.size
+        return stratum_max, candidates, used
 
     results = run_shards(work, sizes, rng, threads)
 

@@ -135,21 +135,12 @@ def ordered_cells_of(k: int, x: UnitVector, tol: float = DEFAULT_TOL) -> list[in
     return [int(m) for m in _cells_of_coords(k, x.coords, tol)]
 
 
-def cell_contains(k: int, m: int, x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    coords = np.asarray(x, dtype=float)
-    axis = cell_axis(k, m)
-    return bool(
-        cell_sign(k, m) * coords[axis] > 0
-        and abs(coords[axis]) >= np.max(np.abs(coords)) - tol
-    )
-
-
 def cell_angle(k: int, m: int, x: UnitVector, tol: float = DEFAULT_TOL) -> CircleAngle:
     """Image angle of a point of ordered cell m; errors if x is outside m."""
     _check_k(k)
     if x.dim != k:
         raise ValueError(f"point lives on S^{x.dim}, expected S^{k}")
-    if not cell_contains(k, m, x.coords, tol):
+    if m not in _cells_of_coords(k, x.coords, tol):
         raise ValueError(f"point is not in ordered cell {m} within tolerance {tol}")
     return CircleAngle(float(cell_angles_many(k, x.coords[None, :], np.array([m]))[0]))
 
@@ -326,11 +317,16 @@ class OddCircleCorrespondence(Correspondence):
         ms = _cells_of_coords(self.k, free, self.tol)
         if ms.size == 0:
             return []
-        rows = np.broadcast_to(free, (ms.size, free.size))
-        angles = cell_angles_many(self.k, rows, ms)
+        # A point admitted through the tolerance lies slightly outside cell m;
+        # clip it onto the closed cell so the pair it forms really exists.
+        axes, _ = _cell_tables(self.k)
+        edges = np.abs(free[axes[ms - 1]]).tolist()
+        top = max(edges)  # the cell of the largest coordinate is always among ms
+        points = [free if e == top else geometry.normalize_rows(np.clip(free, -e, e)) for e in edges]
+        angles = cell_angles_many(self.k, np.array(points), ms)
         return [
-            RelationElement(0, free, free, float(angles[t]), int(ms[t]) - 1)
-            for t in range(ms.size)
+            RelationElement(0, x, x, float(angle), int(m) - 1)
+            for x, angle, m in zip(points, angles, ms)
         ]
 
     def dist_a(self, a1, a2):
@@ -345,51 +341,33 @@ class OddCircleCorrespondence(Correspondence):
     def dist_b_many(self, b1, b2):
         return geometry.circle_distance_many(b1, b2)
 
-    def _boundary_elements(self, m_main: int, m_other: int, count: int, rng: RngStream):
-        xs = sample_cell_boundary_many(self.k, m_main, m_other, count, rng)
-        angles = cell_angles_many(self.k, xs, np.full(count, m_main))
-        return [
-            RelationElement(0, xs[i], xs[i], float(angles[i]), m_main - 1)
-            for i in range(count)
-        ]
-
     def sample_focus_pairs(self, count, rng):
         k = self.k
-        pairs: list[tuple[RelationElement, RelationElement]] = []
         per_case = max(1, count // (4 * len(self._focus_pairs)))
+        # (points, cell) blocks; row t of ``left`` pairs with row t of ``right``.
+        left: list[tuple[np.ndarray, int]] = []
+        right: list[tuple[np.ndarray, int]] = []
         for c, (i, j) in enumerate(self._focus_pairs):
             case_rng = rng.child(c)
             # Coincident boundary pairs: both elements over one tie point.
-            if compatible_boundary(k, i, j):
-                xs = sample_cell_boundary_many(k, i, j, per_case, case_rng.child(0))
-                ai = cell_angles_many(k, xs, np.full(per_case, i))
-                aj = cell_angles_many(k, xs, np.full(per_case, j))
-                for t in range(per_case):
-                    pairs.append(
-                        (
-                            RelationElement(0, xs[t], xs[t], float(ai[t]), i - 1),
-                            RelationElement(0, xs[t], xs[t], float(aj[t]), j - 1),
-                        )
-                    )
+            xs = sample_cell_boundary_many(k, i, j, per_case, case_rng.child(0))
+            left.append((xs, i))
+            right.append((xs, j))
             # Independent boundary pairs: x on a boundary of cell i, z of cell j.
             gen = case_rng.child(1).generator()
-            others_i = [m for m in range(1, 2 * k + 3) if compatible_boundary(k, i, m)]
-            others_j = [m for m in range(1, 2 * k + 3) if compatible_boundary(k, j, m)]
-            mi = gen.choice(others_i, size=per_case)
-            mj = gen.choice(others_j, size=per_case)
-            lhs: list[RelationElement] = []
-            rhs: list[RelationElement] = []
-            for main, picks, out, sub in ((i, mi, lhs, 2), (j, mj, rhs, 3)):
-                slots = np.empty(per_case, dtype=int)
-                cursor = 0
-                for u, m_other in enumerate(np.unique(picks)):
-                    take = int(np.sum(picks == m_other))
-                    slots[np.flatnonzero(picks == m_other)] = np.arange(cursor, cursor + take)
-                    out.extend(
-                        self._boundary_elements(main, int(m_other), take, case_rng.child(sub, u))
+            for main, out, sub in ((i, left, 2), (j, right, 3)):
+                others = [m for m in range(1, 2 * k + 3) if compatible_boundary(k, main, m)]
+                pick = gen.choice(others, size=per_case)
+                xs = np.empty((per_case, k + 1))
+                for u, m_other in enumerate(np.unique(pick)):
+                    rows = pick == m_other
+                    xs[rows] = sample_cell_boundary_many(
+                        k, main, int(m_other), int(rows.sum()), case_rng.child(sub, u)
                     )
-                    cursor += take
-                # restore draw order so pairing does not depend on unique() grouping
-                out[:] = [out[t] for t in slots]
-            pairs.extend(zip(lhs, rhs))
-        return pairs
+                out.append((xs, main))
+        blocks = left + right
+        xs = np.vstack([x for x, _ in blocks])
+        ms = np.concatenate([np.full(len(x), m) for x, m in blocks])
+        return ElementBatch(
+            a=xs, b=cell_angles_many(k, xs, ms), side=np.zeros(len(ms), dtype=int), strata=ms - 1
+        )

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import geometry, serialize
 from .distortion import SearchBudget
-from .parallel import run_shards, shard_sizes
-from .pointsets import arc_rows, cross_polytope_vdiam_exact
+from .pointsets import _covering_estimate, arc_rows, cross_polytope_vdiam_exact
 from .rng import RngStream
 
 BETA_SCHEDULE = (8.0, 32.0, 128.0, 512.0)
@@ -262,44 +261,7 @@ def covering_radius_estimate(
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 1:
         raise ValueError("need at least one point")
-    if samples < 1:
-        raise ValueError("sample budget must be >= 1")
-    dim = pts.shape[1] - 1
-
-    def cov(x):
-        return float(np.arccos(geometry.clip_cosine(np.max(np.abs(pts @ x)))))
-
-    def work(index, count, shard_rng):
-        xs = geometry.sample_uniform_many(dim, count, shard_rng.child(0))
-        vals = np.arccos(geometry.clip_cosine(np.max(np.abs(xs @ pts.T), axis=1)))
-        order = np.argsort(-vals)[:2]
-        return [(float(vals[i]), xs[i]) for i in order]
-
-    results = run_shards(work, shard_sizes(samples, 8192), rng, threads)
-    best = 0.0
-    for index, candidates in enumerate(results):
-        gen = rng.child(index, 1).generator()
-        for val, x in candidates:
-            step = np.pi / 16
-            for _ in range(refine_iters):
-                nearest = pts[int(np.argmax(np.abs(pts @ x)))]
-                if np.dot(nearest, x) < 0:
-                    nearest = -nearest
-                proposals = (
-                    geometry.tangent_step(x, x - nearest, step),
-                    geometry.tangent_step(x, gen.standard_normal(x.size), step),
-                )
-                accepted = False
-                for cand in proposals:
-                    cval = cov(cand)
-                    if cval > val:
-                        x, val = cand, cval
-                        accepted = True
-                        break
-                step = min(step * 1.3, 0.5) if accepted else step * 0.7
-                if step < 1e-14:
-                    break
-            best = max(best, val)
+    best = _covering_estimate(pts, samples, rng, refine_iters, threads)
     return CoveringResult(points=pts, radius_estimate=best, samples=samples)
 
 

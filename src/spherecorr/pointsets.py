@@ -404,6 +404,54 @@ def voronoi_diameter_estimate(
     return best_val, (UnitVector(best_pair[0]), UnitVector(best_pair[1]))
 
 
+def _covering_estimate(reps: np.ndarray, samples: int, rng: RngStream, refine_iters: int, threads) -> float:
+    """Lower estimate of sup_x min_i d(x, +-reps_i): sampled, then hill-climbed.
+
+    The distance to the nearer of +-p is the projective distance to p, so
+    this is both the covering radius of the antipodal set and the projective
+    covering radius of the representatives.
+    """
+    if samples < 1:
+        raise ValueError("sample budget must be >= 1")
+    dim = reps.shape[1] - 1
+
+    def cov(x):
+        return float(np.arccos(clip_cosine(np.max(np.abs(reps @ x)))))
+
+    def work(index, count, shard_rng):
+        xs = geometry.sample_uniform_many(dim, count, shard_rng.child(0))
+        vals = np.arccos(clip_cosine(np.max(np.abs(xs @ reps.T), axis=1)))
+        order = np.argsort(-vals)[:2]
+        return [(float(vals[i]), xs[i]) for i in order]
+
+    results = run_shards(work, shard_sizes(samples, 8192), rng, threads)
+    best = 0.0
+    for index, candidates in enumerate(results):
+        gen = rng.child(index, 1).generator()
+        for val, x in candidates:
+            step = np.pi / 16
+            for _ in range(refine_iters):
+                nearest = reps[int(np.argmax(np.abs(reps @ x)))]
+                if np.dot(nearest, x) < 0:
+                    nearest = -nearest
+                proposals = (
+                    geometry.tangent_step(x, x - nearest, step),
+                    geometry.tangent_step(x, gen.standard_normal(x.size), step),
+                )
+                accepted = False
+                for cand in proposals:
+                    cval = cov(cand)
+                    if cval > val:
+                        x, val = cand, cval
+                        accepted = True
+                        break
+                step = min(step * 1.3, 0.5) if accepted else step * 0.7
+                if step < 1e-14:
+                    break
+            best = max(best, val)
+    return best
+
+
 def hausdorff_to_sphere_estimate(
     aset: AntipodalSet,
     samples: int,
@@ -415,40 +463,4 @@ def hausdorff_to_sphere_estimate(
 
     Useful as the sampled side of the inequality vdiam <= 2 * d_H.
     """
-    if samples < 1:
-        raise ValueError("sample budget must be >= 1")
-    sites = aset.points()
-
-    def covering(x):
-        return float(np.arccos(clip_cosine(np.max(sites @ x))))
-
-    def work(index, count, shard_rng):
-        xs = geometry.sample_uniform_many(aset.dim, count, shard_rng.child(0))
-        cov = np.arccos(clip_cosine(np.max(xs @ sites.T, axis=1)))
-        order = np.argsort(-cov)[:2]
-        return [(float(cov[i]), xs[i]) for i in order]
-
-    results = run_shards(work, shard_sizes(samples, 8192), rng, threads)
-    best = 0.0
-    for index, candidates in enumerate(results):
-        gen = rng.child(index, 1).generator()
-        for val, x in candidates:
-            step = np.pi / 16
-            for _ in range(refine_iters):
-                nearest = sites[int(np.argmax(sites @ x))]
-                proposals = (
-                    geometry.tangent_step(x, x - nearest, step),
-                    geometry.tangent_step(x, gen.standard_normal(x.size), step),
-                )
-                accepted = False
-                for cand in proposals:
-                    cval = covering(cand)
-                    if cval > val:
-                        x, val = cand, cval
-                        accepted = True
-                        break
-                step = min(step * 1.3, 0.5) if accepted else step * 0.7
-                if step < 1e-14:
-                    break
-            best = max(best, val)
-    return best
+    return _covering_estimate(aset.reps, samples, rng, refine_iters, threads)

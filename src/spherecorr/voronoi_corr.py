@@ -68,37 +68,31 @@ class VoronoiCorrespondence(Correspondence):
     def free_factor(self, side: int) -> int:
         return side  # side 0 = low free (factor A), side 1 = high free (factor B)
 
+    def _elements(self, side: int, free: np.ndarray, cells: np.ndarray):
+        """Batch columns (a, b, side, strata) of the elements over rows ``free`` in ``cells``."""
+        if side == 0:
+            a, b, strata = free, self.Q.points()[cells], cells
+        else:
+            a, b, strata = self.P.points()[cells], free, 2 * self.P.m + cells
+        return a, b, np.full(len(cells), side), strata
+
     def sample_batch(self, count, rng):
         n_low = count // 2
-        n_high = count - n_low
         xs = geometry.sample_uniform_many(self.P.dim, n_low, rng.child(0))
-        cells_x = self.P.nearest_site_many(xs)
-        ys = geometry.sample_uniform_many(self.Q.dim, n_high, rng.child(1))
-        cells_y = self.Q.nearest_site_many(ys)
-        a = np.vstack([xs, self.P.points()[cells_y]])
-        b = np.vstack([self.Q.points()[cells_x], ys])
-        side = np.concatenate([np.zeros(n_low, dtype=int), np.ones(n_high, dtype=int)])
-        strata = np.concatenate([cells_x, 2 * self.P.m + cells_y])
+        ys = geometry.sample_uniform_many(self.Q.dim, count - n_low, rng.child(1))
+        low = self._elements(0, xs, self.P.nearest_site_many(xs))
+        high = self._elements(1, ys, self.Q.nearest_site_many(ys))
         # Shuffle so that pairing the two batch halves mixes the directions.
         perm = rng.child(2).generator().permutation(count)
-        return ElementBatch(a=a[perm], b=b[perm], side=side[perm], strata=strata[perm])
+        return ElementBatch(*(np.concatenate(col)[perm] for col in zip(low, high)))
 
     def variants_of_free(self, side, free):
         free = np.asarray(free, dtype=float)
-        out = []
+        dists = (self.P if side == 0 else self.Q).site_distances(free)
+        hits = np.flatnonzero(dists <= dists.min() + self.tol)
         if side == 0:
-            dists = self.P.site_distances(free)
-            hits = np.flatnonzero(dists <= dists.min() + self.tol)
-            for c in hits:
-                out.append(RelationElement(0, free, free, self.Q.points()[c], int(c)))
-        else:
-            dists = self.Q.site_distances(free)
-            hits = np.flatnonzero(dists <= dists.min() + self.tol)
-            for c in hits:
-                out.append(
-                    RelationElement(1, free, self.P.points()[c], free, 2 * self.P.m + int(c))
-                )
-        return out
+            return [RelationElement(0, free, free, self.Q.points()[c], int(c)) for c in hits]
+        return [RelationElement(1, free, self.P.points()[c], free, 2 * self.P.m + int(c)) for c in hits]
 
     def dist_a(self, a1, a2):
         return geometry.geodesic_accurate(a1, a2)
@@ -139,19 +133,21 @@ class VoronoiCorrespondence(Correspondence):
         return geometry.normalize_rows((1 - hi)[:, None] * ys + hi[:, None] * target)
 
     def sample_focus_pairs(self, count, rng):
-        pairs = []
         per_side = max(1, count // 8)
+        left, right = [], []  # column blocks; row t of left pairs with row t of right
         for side, aset in ((1, self.Q), (0, self.P)):
             ys = geometry.sample_uniform_many(aset.dim, per_side, rng.child(side))
             ties = self._tie_points_many(aset, ys)
-            for i in range(per_side):
-                variants = self.variants_of_free(side, ties[i])
-                if len(variants) < 2:
-                    continue
-                pairs.append((variants[0], variants[1]))
-                if len(variants) > 2:
-                    pairs.append((variants[0], variants[2]))
-        return pairs
+            dists = np.arccos(clip_cosine(ties @ aset.points().T))
+            hit = dists <= dists.min(axis=1, keepdims=True) + self.tol
+            # Containing cells of each tie point in index order c0 < c1 < c2;
+            # each point gives the pair (c0, c1), and also (c0, c2) on a triple tie.
+            cells = np.argsort(~hit, axis=1, kind="stable")
+            rows = np.repeat(np.arange(per_side), np.clip(hit.sum(axis=1) - 1, 0, 2))
+            second = 1 + np.arange(rows.size) - np.searchsorted(rows, rows)
+            left.append(self._elements(side, ties[rows], cells[rows, 0]))
+            right.append(self._elements(side, ties[rows], cells[rows, second]))
+        return ElementBatch(*(np.concatenate(col) for col in zip(*(left + right))))
 
 
 # ---------------------------------------------------------------------------

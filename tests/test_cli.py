@@ -85,6 +85,17 @@ def test_distortion_rpq(capsys):
     assert report["estimate"] == pytest.approx(2 * np.pi / 3, abs=0.01)
 
 
+def test_odd_estimate_does_not_exceed_true_distortion(capsys):
+    # refinement once paired a point 6.8e-10 outside cell 1 with a cell-1 angle
+    code, out = run_cli(
+        capsys,
+        "distortion", "--corr", "odd-rk", "--k", "5",
+        "--samples", "262144", "--threads", "1", "--seed", "130",
+    )
+    assert code == 0
+    assert json.loads(out)["estimate"] <= 4 * np.pi / 5 + 1e-12
+
+
 def test_distortion_rejects_even_k_for_odd_corr(capsys):
     code, _ = run_cli(capsys, "distortion", "--corr", "odd-rk", "--k", "4", "--samples", "100")
     assert code == 2

@@ -187,3 +187,25 @@ def test_report_serialization_fields():
     assert data["seed"] == 1
     text = dumps(data)
     assert text.startswith("{")
+
+
+@pytest.mark.parametrize(
+    "corr",
+    [
+        OddCircleCorrespondence(5),
+        VoronoiCorrespondence(evenly_spaced_circle_set(5), cross_polytope_set(4)),
+    ],
+    ids=["odd", "rpq"],
+)
+def test_focus_batches_have_aligned_pair_rows(corr):
+    batch = corr.sample_focus_pairs(4096, RngStream(21))
+    rows = len(batch.strata)
+    assert rows > 0 and rows % 2 == 0
+    assert batch.a.shape[0] == batch.b.shape[0] == batch.side.shape[0] == rows
+    half = rows // 2
+    # both elements of every focus pair carry their free point on the same side
+    assert np.array_equal(batch.side[:half], batch.side[half:])
+
+
+def test_correspondence_without_focus_sampler_returns_none():
+    assert IdentityCorrespondence(2).sample_focus_pairs(64, RngStream(0)) is None

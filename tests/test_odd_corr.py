@@ -3,6 +3,7 @@ import pytest
 
 from spherecorr import (
     CircleInterval,
+    OddCircleCorrespondence,
     OrderedCellId,
     RngStream,
     UnitVector,
@@ -315,3 +316,30 @@ def test_boundary_witness_identity_on_samples():
         gaps = np.abs(a2 - a1)
         gaps = np.minimum(gaps, 2 * np.pi - gaps)
         assert np.allclose(gaps, (k - 1) * np.pi / k, atol=1e-12)
+
+
+def test_focus_pairs_are_valid_relation_elements():
+    for k in (3, 5):
+        corr = OddCircleCorrespondence(k)
+        batch = corr.sample_focus_pairs(256, RngStream(19).child(k))
+        rows = len(batch.strata)
+        assert rows > 0
+        for i in range(rows):
+            assert corr.element_valid(batch.element(i, corr)), (k, i)
+
+
+def test_variants_just_outside_a_cell_lie_in_the_closed_cell():
+    # 1e-10 outside ordered cell 1 of S^5 (x_3 beats x_1), inside the membership slack
+    k = 5
+    x = np.array([0.5, 0.1, 0.5 + 1e-10, -0.2, 0.3, 0.1])
+    x /= np.linalg.norm(x)
+    corr = OddCircleCorrespondence(k)
+    variants = corr.variants_of_free(0, x)
+    assert sorted(v.stratum + 1 for v in variants) == [1, 3]
+    for v in variants:
+        assert v.stratum + 1 in odd_corr._cells_of_coords(k, v.a, 0.0)
+        assert np.array_equal(v.free, v.a)
+        assert np.linalg.norm(v.a) == pytest.approx(1.0, abs=1e-15)
+        assert corr.element_valid(v)
+    moved = next(v for v in variants if v.stratum == 0)
+    assert 0 < np.max(np.abs(moved.a - x)) < 1e-9

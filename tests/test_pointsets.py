@@ -241,6 +241,16 @@ def test_hausdorff_dense_grid_oracle():
     assert oracle == pytest.approx(np.arccos(1 / np.sqrt(3)), abs=5e-3)
 
 
+def test_hausdorff_is_the_projective_covering_radius_of_the_reps():
+    from spherecorr import covering_radius_estimate
+
+    for aset in (cross_polytope_set(2), evenly_spaced_circle_set(5), arc_augmented_set(2, 4)):
+        for seed in (0, 3):
+            dh = hausdorff_to_sphere_estimate(aset, 4000, RngStream(seed))
+            cov = covering_radius_estimate(aset.reps, 4000, RngStream(seed))
+            assert dh == cov.radius_estimate
+
+
 def test_vdiam_against_hausdorff_inequality():
     for aset in (cross_polytope_set(2), arc_augmented_set(2, 4)):
         vd, _ = voronoi_diameter_estimate(aset, 10000, 60, RngStream(6))

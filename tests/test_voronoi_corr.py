@@ -130,11 +130,11 @@ def test_nine_cases_satisfy_their_bounds():
 
 def test_focus_pairs_are_valid_relation_elements():
     corr = even_cross(3)
-    pairs = corr.sample_focus_pairs(64, RngStream(6))
-    assert pairs
-    for e1, e2 in pairs[:20]:
-        assert corr.element_valid(e1)
-        assert corr.element_valid(e2)
+    batch = corr.sample_focus_pairs(64, RngStream(6))
+    rows = len(batch.strata)
+    assert rows > 0
+    for i in range(rows):
+        assert corr.element_valid(batch.element(i, corr)), i
 
 
 def test_correspondence_json_roundtrip():
