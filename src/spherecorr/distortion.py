@@ -1,15 +1,16 @@
 """Empirical distortion estimation for sphere correspondences.
 
 A correspondence is exposed to the engine as a black box with two abilities:
-sample relation elements, and list the relation elements sitting over a given
-free point.  Both samplers (uniform and the optional focus sampler) return an
-:class:`ElementBatch` whose row i is paired with row half+i.  The engine
+sample relation elements, and list the relation elements sitting over given
+free points.  Both samplers (uniform and the optional focus sampler) return
+an :class:`ElementBatch` whose row i is paired with row half+i.  Phase A
 scores every sampled pair of either batch through one vectorized path,
 tracks the largest value of |d_A(a, a') - d_B(b, b')| per stratum pair, and
-hill-climbs the best candidates while re-deriving membership after every
-accepted move, so every reported value is realized by a concrete,
-re-checkable witness pair and the estimate is a lower bound on the true
-distortion.
+keeps the best pairs of every shard as candidates.  Phase B hill-climbs all
+candidates of all shards as one batch, re-deriving membership of every
+proposal through ``variants_many``, so every reported value is realized by a
+concrete, re-checkable witness pair and the estimate is a lower bound on the
+true distortion.
 """
 
 from __future__ import annotations
@@ -77,6 +78,21 @@ class ElementBatch:
         free = self.a[i] if corr.free_factor(side) == 0 else self.b[i]
         return RelationElement(side, np.asarray(free, dtype=float), self.a[i], self.b[i], int(self.strata[i]))
 
+    @property
+    def columns(self) -> tuple:
+        return self.a, self.b, self.side, self.strata
+
+    def take(self, rows) -> "ElementBatch":
+        return ElementBatch(*(col[rows] for col in self.columns))
+
+    @classmethod
+    def concat(cls, batches) -> "ElementBatch":
+        return cls(*(np.concatenate(col) for col in zip(*(b.columns for b in batches))))
+
+    @classmethod
+    def of(cls, elems) -> "ElementBatch":
+        return cls(*(np.array(col) for col in zip(*((e.a, e.b, e.side, e.stratum) for e in elems))))
+
 
 class Correspondence(ABC):
     """Relation between two spheres, exposed through samplers and queries."""
@@ -101,14 +117,25 @@ class Correspondence(ABC):
         """Draw ``count`` relation elements with positive density everywhere."""
 
     @abstractmethod
+    def variants_many(self, side: int, frees: np.ndarray) -> tuple[ElementBatch, np.ndarray]:
+        """All relation elements over each row of ``frees`` (several on cell
+        boundaries), with ``owner[i]`` the row that element i sits over.
+
+        Elements come in row order, and a row's elements in a fixed order.
+        """
+
     def variants_of_free(self, side: int, free: np.ndarray) -> list[RelationElement]:
-        """All relation elements over ``free`` (several on cell boundaries)."""
+        """All relation elements over one free point: one row of ``variants_many``."""
+        batch, _ = self.variants_many(side, np.asarray(free, dtype=float)[None, :])
+        return [batch.element(i, self) for i in range(len(batch.strata))]
 
     @abstractmethod
-    def dist_a(self, a1, a2) -> float: ...
+    def dist_a(self, a1, a2):
+        """Exact distance on factor A, row-wise on stacked points."""
 
     @abstractmethod
-    def dist_b(self, b1, b2) -> float: ...
+    def dist_b(self, b1, b2):
+        """Exact distance on factor B, row-wise on stacked points."""
 
     @abstractmethod
     def dist_a_many(self, a1: np.ndarray, a2: np.ndarray) -> np.ndarray: ...
@@ -124,28 +151,37 @@ class Correspondence(ABC):
         """
         return None
 
-    def element_valid(self, elem: RelationElement, tol: float | None = None) -> bool:
+    def element_valid(self, elem: RelationElement) -> bool:
         """Whether ``elem`` matches some variant over its own free point."""
-        for cand in self.variants_of_free(elem.side, elem.free):
-            if cand.stratum != elem.stratum:
-                continue
-            if _points_close(cand.a, elem.a) and _points_close(cand.b, elem.b):
-                return True
-        return False
+        return bool(_in_relation(self, ElementBatch.of([elem]))[0])
 
 
-def _points_close(p, q, tol: float = 1e-9) -> bool:
-    """Coordinate comparison that treats angles modulo 2*pi."""
-    if np.ndim(p) == 0 and np.ndim(q) == 0:
-        return geometry.circle_distance_many(np.array([p]), np.array([q]))[0] <= tol
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return p.shape == q.shape and float(np.max(np.abs(p - q))) <= tol
+def _in_relation(corr: Correspondence, batch: ElementBatch) -> np.ndarray:
+    """Whether each row of ``batch`` matches some variant over its own free point."""
+    ok = np.zeros(len(batch.strata), dtype=bool)
+    for side in np.unique(batch.side):
+        rows = np.flatnonzero(batch.side == side)
+        own = batch.take(rows)
+        found, owner = corr.variants_many(int(side), own.a if corr.free_factor(side) == 0 else own.b)
+        match = (
+            (found.strata == own.strata[owner])
+            & _close(found.a, own.a[owner])
+            & _close(found.b, own.b[owner])
+        )
+        ok[rows[owner[match]]] = True
+    return ok
+
+
+def _close(p: np.ndarray, q: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Row-wise coordinate comparison that treats angles modulo 2*pi."""
+    if p.ndim == 1:
+        return geometry.circle_distance_many(p, q) <= tol
+    return np.max(np.abs(p - q), axis=1) <= tol
 
 
 def pair_objective(corr: Correspondence, e1: RelationElement, e2: RelationElement) -> float:
     """|d_A(a1, a2) - d_B(b1, b2)| for a pair of relation elements."""
-    return abs(corr.dist_a(e1.a, e2.a) - corr.dist_b(e1.b, e2.b))
+    return float(abs(corr.dist_a(e1.a, e2.a) - corr.dist_b(e1.b, e2.b)))
 
 
 @dataclass
@@ -195,9 +231,10 @@ def refine_pair(
 ) -> tuple[tuple[RelationElement, RelationElement], float]:
     """Hill-climb a pair of relation elements to larger objective value.
 
-    One free point moves per iteration (alternating); each proposal is
-    re-derived through the correspondence, so every accepted state is a valid
-    pair of relation elements and the objective never decreases.
+    One pair through :func:`_climb_pairs`: one free point moves per
+    iteration (alternating); each proposal is re-derived through the
+    correspondence, so every accepted state is a valid pair of relation
+    elements and the objective never decreases.
     """
     e1, e2 = pair
     for e in (e1, e2):
@@ -205,34 +242,66 @@ def refine_pair(
             raise ValueError(f"input pair is not in the relation (stratum {e.stratum})")
     if iters == 0:
         return (e1, e2), pair_objective(corr, e1, e2)
-    gen = rng.generator()
-    best = pair_objective(corr, e1, e2)
-    pair_now = [e1, e2]
-    cur_step = step
-    for it in range(iters):
-        moving = it % 2
-        mover, other = pair_now[moving], pair_now[1 - moving]
-        proposals = [
-            geometry.tangent_step(mover.free, gen.standard_normal(mover.free.size), cur_step)
-        ]
-        if mover.side == other.side and mover.free.size == other.free.size:
-            proposals.append(geometry.tangent_step(mover.free, other.free - mover.free, cur_step))
-            proposals.append(geometry.tangent_step(mover.free, mover.free - other.free, cur_step))
-        improved = None
-        for free_new in proposals:
-            for cand in corr.variants_of_free(mover.side, free_new):
-                val = pair_objective(corr, cand, other)
-                if val > best:
-                    best = val
-                    improved = cand
-        if improved is not None:
-            pair_now[moving] = improved
-            cur_step = min(cur_step * 1.3, np.pi / 4)
-        else:
-            cur_step *= decay
-            if cur_step < 1e-14:
-                break
-    return (pair_now[0], pair_now[1]), best
+    first, second = ElementBatch.of([e1]), ElementBatch.of([e2])
+    value = _climb_pairs(corr, first, second, iters, step, decay, [rng])[0]
+    return (first.element(0, corr), second.element(0, corr)), float(value)
+
+
+def _climb_pairs(corr, first: ElementBatch, second: ElementBatch, iters, step, decay, rngs) -> np.ndarray:
+    """Hill-climb the pairs (first[i], second[i]) in place; returns their objectives.
+
+    The elements alternate as mover.  Proposals: a random direction, then
+    toward and away from the other free point when both live on one side.
+    Row i draws its random directions from ``rngs[i]`` as one block up front,
+    in move order, so no row's path depends on the others.  Rows are grouped
+    by the mover's side, whose free points may live on another sphere.
+    """
+    pair = (first, second)
+    values = _objectives(corr, first, second)
+    if iters == 0:
+        return values
+
+    def free(batch, rows, side):
+        return batch.a[rows] if corr.free_factor(side) == 0 else batch.b[rows]
+
+    moves = ((iters + 1) // 2, iters // 2)
+    normals = ([], [])
+    for i, row_rng in enumerate(rngs):
+        d0, d1 = (free(b, [i], b.side[i]).shape[1] for b in pair)
+        flat = row_rng.generator().standard_normal(moves[0] * d0 + moves[1] * d1)
+        block = np.pad(flat, (0, (moves[0] - moves[1]) * d1)).reshape(moves[0], d0 + d1)
+        normals[0].append(block[:, :d0])
+        normals[1].append(block[:, d0:])
+
+    def propose(it, rows, steps):
+        p = it % 2
+        mover, other = pair[p], pair[1 - p]
+        owners, batches = [], []
+        for s in np.unique(mover.side[rows]):
+            g = rows[mover.side[rows] == s]
+            x, st = free(mover, g, s), steps[g]
+            props = [geometry.tangent_step(x, np.array([normals[p][i][it // 2] for i in g]), st)]
+            same = other.side[g] == s
+            if same.any():
+                ox = free(other, g, s)
+                props += [geometry.tangent_step(x, ox - x, st), geometry.tangent_step(x, x - ox, st)]
+            keep = np.column_stack([np.ones_like(same), same, same])[:, : len(props)]
+            prop_rows, prop_idx = np.nonzero(keep)
+            batch, owner = corr.variants_many(s, np.stack(props, axis=1)[prop_rows, prop_idx])
+            owners.append(g[prop_rows[owner]])
+            batches.append(batch)
+        owner = np.concatenate(owners)
+        found, kept = ElementBatch.concat(batches), other.take(owner)
+        moved = (found, kept) if p == 0 else (kept, found)
+        return owner, _objectives(corr, found, kept), moved[0].columns + moved[1].columns
+
+    state = first.columns + second.columns
+    return geometry.hill_climb(state, values, iters, step, np.pi / 4, decay, propose)
+
+
+def _objectives(corr: Correspondence, first: ElementBatch, second: ElementBatch) -> np.ndarray:
+    """Row-wise exact pair objectives; one row gives :func:`pair_objective`."""
+    return np.abs(corr.dist_a(first.a, second.a) - corr.dist_b(first.b, second.b))
 
 
 def _stratum_pair_key(n_strata: int, s1, s2):
@@ -255,9 +324,10 @@ def _scan_pairs(corr: Correspondence, batch: ElementBatch, stratum_max: np.ndarr
     return obj, keys
 
 
-def _pair_at(corr: Correspondence, batch: ElementBatch, i: int):
+def _pair_rows(batch: ElementBatch, idx) -> tuple[ElementBatch, ElementBatch]:
     half = len(batch.strata) // 2
-    return batch.element(int(i), corr), batch.element(half + int(i), corr)
+    idx = np.asarray(idx, dtype=int)
+    return batch.take(idx), batch.take(half + idx)
 
 
 def estimate_distortion(
@@ -280,64 +350,58 @@ def estimate_distortion(
 
     # Phase A (parallel, vectorized): score the sampled pairs of the uniform
     # and the focus batch, record per-stratum maxima, and extract candidate
-    # pairs.  Phase B (serial in shard order) refines the candidates; each
-    # shard keeps its own child streams, so worker count never influences
-    # the result.
+    # pairs.  Phase B (in the calling thread) refines the candidates of all
+    # shards as one batch; candidate j of shard i climbs on the stream
+    # rng.child(i, 2 + j), so neither the worker count nor the batch
+    # influences the result.
     def work(index, count, shard_rng):
         stratum_max = np.full(ns * ns, -1.0)
         batch = corr.sample_batch(count, shard_rng.child(0))
         obj, keys = _scan_pairs(corr, batch, stratum_max)
 
         # Candidate pairs: the best sampled pair from each of the top strata.
-        candidates: list[tuple[RelationElement, RelationElement]] = []
+        picks: list[int] = []
         seen_keys: set[int] = set()
         for idx in np.argsort(-obj, kind="stable"):
             key = int(keys[idx])
             if key in seen_keys:
                 continue
             seen_keys.add(key)
-            candidates.append(_pair_at(corr, batch, idx))
-            if len(candidates) >= budget.restarts:
+            picks.append(idx)
+            if len(picks) >= budget.restarts:
                 break
+        candidates = [_pair_rows(batch, picks)]
         used = count
         focus = corr.sample_focus_pairs(max(2, count // 4), shard_rng.child(1))
         if focus is not None:
             fobj, _ = _scan_pairs(corr, focus, stratum_max)
-            candidates.extend(
-                _pair_at(corr, focus, idx) for idx in np.argsort(-fobj, kind="stable")[:2]
-            )
+            candidates.append(_pair_rows(focus, np.argsort(-fobj, kind="stable")[:2]))
             used += 2 * fobj.size
         return stratum_max, candidates, used
 
     results = run_shards(work, sizes, rng, threads)
 
-    best_val, best_pair, best_key = -1.0, None, None
-    merged = np.full(ns * ns, -1.0)
-    samples_used = 0
-    for index, (stratum_max, candidates, counted) in enumerate(results):
-        samples_used += counted
-        shard_rng = rng.child(index)
-        for j, cand in enumerate(candidates):
-            refined, val = refine_pair(
-                corr,
-                cand,
-                budget.refine_iters,
-                budget.initial_step,
-                budget.decay,
-                shard_rng.child(2 + j),
-            )
-            stratum_key = _stratum_pair_key(ns, refined[0].stratum, refined[1].stratum)
-            stratum_max[stratum_key] = max(stratum_max[stratum_key], val)
-            key = _witness_key(*refined)
-            if val > best_val or (
-                val == best_val and best_key is not None and key < best_key
-            ):
-                best_val, best_pair, best_key = val, refined, key
-        merged = np.maximum(merged, stratum_max)
+    merged = np.max([stratum_max for stratum_max, _, _ in results], axis=0)
+    samples_used = sum(used for _, _, used in results)
+    first = ElementBatch.concat(c[0] for _, cands, _ in results for c in cands)
+    second = ElementBatch.concat(c[1] for _, cands, _ in results for c in cands)
+    if not _in_relation(corr, ElementBatch.concat([first, second])).all():
+        raise ValueError("a candidate pair is not in the relation")
+    streams = [
+        rng.child(index, 2 + j)
+        for index, (_, cands, _) in enumerate(results)
+        for j in range(sum(len(c[0].strata) for c in cands))
+    ]
+    values = _climb_pairs(
+        corr, first, second, budget.refine_iters, budget.initial_step, budget.decay, streams
+    )
+    np.maximum.at(merged, _stratum_pair_key(ns, first.strata, second.strata), values)
 
-    if best_pair is None:
-        raise RuntimeError("no candidate pairs were produced; increase the budget")
-
+    # Largest value; ties go to the smallest witness key.
+    best = min(
+        np.flatnonzero(values == values.max()),
+        key=lambda i: _witness_key(first.element(i, corr), second.element(i, corr)),
+    )
     per_stratum = {}
     for flat_key in np.flatnonzero(merged >= 0.0):
         lo, hi = divmod(int(flat_key), ns)
@@ -345,8 +409,8 @@ def estimate_distortion(
         per_stratum[label] = float(merged[flat_key])
 
     return DistortionReport(
-        estimate=best_val,
-        witness=_as_witness(*best_pair),
+        estimate=float(values[best]),
+        witness=_as_witness(first.element(best, corr), second.element(best, corr)),
         samples_used=samples_used,
         per_stratum=per_stratum,
         seed=rng.seed,
@@ -376,12 +440,13 @@ class IdentityCorrespondence(Correspondence):
         xs = geometry.sample_uniform_many(self.dim, count, rng)
         return ElementBatch(a=xs, b=xs, side=np.zeros(count, dtype=int), strata=np.zeros(count, dtype=int))
 
-    def variants_of_free(self, side, free):
-        free = np.asarray(free, dtype=float)
-        return [RelationElement(0, free, free, free, 0)]
+    def variants_many(self, side, frees):
+        frees = np.asarray(frees, dtype=float)
+        zeros = np.zeros(len(frees), dtype=int)
+        return ElementBatch(a=frees, b=frees, side=zeros, strata=zeros), np.arange(len(frees))
 
     def dist_a(self, a1, a2):
-        return geometry.geodesic_accurate(a1, a2)
+        return geometry.geodesic_accurate_many(a1, a2)
 
     dist_b = dist_a
 

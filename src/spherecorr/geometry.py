@@ -113,20 +113,40 @@ def circle_distance(a, b) -> float:
     return float(min(d, TWO_PI - d))
 
 
-def geodesic_accurate(a: np.ndarray, b: np.ndarray) -> float:
-    """Geodesic distance of two unit coordinate vectors, accurate at 0 and pi.
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis, broadcasting over the leading axes.
+
+    Summed left to right in a fixed order, so a row's value never depends on
+    the stack it sits in: a row climbed alone and the same row inside a batch
+    take bitwise the same path.
+    """
+    prod = a * b
+    out = prod[..., 0]
+    for j in range(1, prod.shape[-1]):
+        out = out + prod[..., j]
+    return out
+
+
+def geodesic_accurate_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise geodesic distances of unit rows, accurate at 0 and pi.
 
     arccos of the inner product loses ~1e-8 near the endpoints; the arcsine
     of the half-chord (to the nearer of b, -b) keeps full precision, which
     matters when witness objectives are compared against exact suprema.
+    Rows are the last axis; leading axes broadcast.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.dot(a, b) >= 0.0:
-        half = 0.5 * np.linalg.norm(a - b)
-        return float(2.0 * np.arcsin(min(1.0, half)))
-    half = 0.5 * np.linalg.norm(a + b)
-    return float(np.pi - 2.0 * np.arcsin(min(1.0, half)))
+    near = row_dot(a, b) >= 0.0
+    chord = np.where(near[..., None], a - b, a + b)
+    angle = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * np.sqrt(row_dot(chord, chord))))
+    return np.where(near, angle, np.pi - angle)
+
+
+def geodesic_accurate(a: np.ndarray, b: np.ndarray) -> float:
+    """Geodesic distance of two unit coordinate vectors: one row of
+    :func:`geodesic_accurate_many`, so both agree bitwise."""
+    return float(geodesic_accurate_many(a, b))
 
 
 def chord_length(x: UnitVector, y: UnitVector) -> float:
@@ -179,15 +199,48 @@ def circle_distance_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(d, TWO_PI - d)
 
 
-def tangent_step(point: np.ndarray, direction: np.ndarray, step: float) -> np.ndarray:
-    """Move ``point`` on its sphere along the tangent part of ``direction``.
+def tangent_step(points: np.ndarray, directions: np.ndarray, steps) -> np.ndarray:
+    """Move each row of ``points`` on its sphere along the tangent part of the
+    matching row of ``directions``, by that row's entry of ``steps``.
 
-    The direction is projected orthogonal to ``point``; a zero tangent leaves
-    the point unchanged.
+    Directions are projected orthogonal to their points; a row whose tangent
+    vanishes stays where it is.  A single point is a one-row case.
     """
-    tangent = direction - np.dot(direction, point) * point
-    norm = np.linalg.norm(tangent)
-    if norm < 1e-300:
-        return point
-    moved = point + (step / norm) * tangent
-    return moved / np.linalg.norm(moved)
+    tangent = directions - row_dot(directions, points)[..., None] * points
+    norm = np.sqrt(row_dot(tangent, tangent))
+    flat = norm < 1e-300
+    moved = points + (steps / np.where(flat, 1.0, norm))[..., None] * tangent
+    moved = moved / np.sqrt(row_dot(moved, moved))[..., None]
+    return np.where(flat[..., None], points, moved)
+
+
+def hill_climb(state, values, iters: int, step: float, cap: float, decay: float, propose) -> np.ndarray:
+    """Raise the values of a batch of states by local moves, in place.
+
+    ``state`` is a tuple of arrays whose rows are the states.  Each row keeps
+    its own step: x1.3 up to ``cap`` after an accepted move, times ``decay``
+    otherwise, frozen once below 1e-14.  ``propose(it, rows, steps)`` gets
+    the live ``rows`` and every row's step and returns ``(owner, scores,
+    moved)``: proposal i moves row ``owner[i]`` to row i of the arrays in
+    ``moved`` (parallel to ``state``) and scores ``scores[i]``, -inf if
+    infeasible; a row lists its proposals in order of preference.  A row
+    takes its best proposal, the earliest among equals, if it strictly beats
+    its value.  Returns the final values.
+    """
+    values = np.array(values, dtype=float)
+    steps = np.full(values.shape, float(step))
+    for it in range(iters):
+        rows = np.flatnonzero(steps >= 1e-14)
+        if rows.size == 0:
+            break
+        owner, scores, moved = propose(it, rows, steps)
+        order = np.lexsort((-scores, owner))
+        first = order[np.flatnonzero(np.diff(owner[order], prepend=-1))]
+        picks = first[scores[first] > values[owner[first]]]
+        won = owner[picks]
+        values[won] = scores[picks]
+        for col, new in zip(state, moved):
+            col[won] = new[picks]
+        grow = np.isin(rows, won)
+        steps[rows] = np.where(grow, np.minimum(steps[rows] * 1.3, cap), steps[rows] * decay)
+    return values

@@ -88,8 +88,9 @@ class AntipodalSet:
         return self._points
 
     def site_distances(self, x: np.ndarray) -> np.ndarray:
-        """Geodesic distances from ``x`` to all 2m sites."""
-        return np.arccos(clip_cosine(self._points @ np.asarray(x, dtype=float)))
+        """Geodesic distances from ``x`` to all 2m sites; (rows, 2m) for a stack of rows."""
+        x = np.asarray(x, dtype=float)
+        return np.arccos(clip_cosine(geometry.row_dot(x[..., None, :], self._points)))
 
     def nearest_site_many(self, xs: np.ndarray) -> np.ndarray:
         """0-based nearest-site index for each row of ``xs`` (ties -> lowest)."""
@@ -209,21 +210,20 @@ def cross_polytope_vdiam_exact(k: int) -> float:
     return float(np.arccos(-(k - 1.0) / (k + 1.0)))
 
 
+def cell_mask(aset: AntipodalSet, xs: np.ndarray, tol: float = DEFAULT_CELL_TOL) -> np.ndarray:
+    """(rows, 2m) mask of the cells whose site distance is within ``tol`` of each row's minimum."""
+    dists = aset.site_distances(xs)
+    return dists <= dists.min(axis=1, keepdims=True) + tol
+
+
 def voronoi_cells_of(aset: AntipodalSet, x: UnitVector, tol: float = DEFAULT_CELL_TOL) -> list[CellIndex]:
     """All cells whose site distance is within ``tol`` of the minimum."""
     if x.dim != aset.dim:
         raise ValueError(f"dimension mismatch: point on S^{x.dim}, set on S^{aset.dim}")
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    dists = aset.site_distances(x.coords)
-    hits = np.flatnonzero(dists <= dists.min() + tol)
+    hits = np.flatnonzero(cell_mask(aset, x.coords[None], tol))
     return [CellIndex.from_linear(int(i) + 1, aset.m) for i in hits]
-
-
-def cell_contains(aset: AntipodalSet, linear: int, x: np.ndarray, tol: float = DEFAULT_CELL_TOL) -> bool:
-    """Whether ``x`` lies in cell ``linear`` (1-based) within ``tol``."""
-    dists = aset.site_distances(x)
-    return bool(dists[linear - 1] <= dists.min() + tol)
 
 
 def sample_in_cell(
@@ -258,62 +258,59 @@ def sample_in_cell(
 # Sampled estimators
 # ---------------------------------------------------------------------------
 
-def _slide_direction(x, raw, site, sites, activation):
-    """Tangent ascent direction projected onto the cell's active constraints.
+def _slide_directions(x, raw, own_sites, sites, activation):
+    """Tangent ascent directions, row-wise, projected onto each row's active cell walls.
 
-    A Voronoi cell is cut out by the halfspaces <x, site - s'> >= 0; removing
-    the infeasible components of the step lets the climb slide along cell
-    walls instead of stalling against them.
+    Row i's cell is cut out by the halfspaces <x, own_sites[i] - s'> >= 0;
+    removing the infeasible components of the step lets the climb slide along
+    cell walls instead of stalling against them.
     """
-    g = raw - np.dot(raw, x) * x
-    normals = site - sites
-    margins = sites @ x
-    margins = np.dot(site, x) - margins
+    g = raw - geometry.row_dot(raw, x)[:, None] * x
+    normals = own_sites[:, None, :] - sites
+    sq = geometry.row_dot(normals, normals)
+    margins = geometry.row_dot(own_sites, x)[:, None] - geometry.row_dot(x[:, None, :], sites)
+    walls = (margins <= activation[:, None]) & (sq >= 1e-300)
+    cols = np.arange(len(sites))
     for _ in range(2):
-        for j in np.flatnonzero(margins <= activation):
-            n = normals[j]
-            nn = np.dot(n, n)
-            if nn < 1e-300:
-                continue
-            viol = np.dot(g, n)
-            if viol < 0:
-                g = g - (viol / nn) * n
-    return g - np.dot(g, x) * x
+        j = -1  # walls in index order, each pushed back where the step crosses it
+        while True:
+            viol = geometry.row_dot(g[:, None, :], normals)
+            hit = walls & (viol < 0) & (cols > j)
+            if not hit.any():
+                break
+            j = int(np.argmax(hit.any(axis=0)))
+            on = hit[:, j]
+            g[on] -= (viol[on, j] / sq[on, j])[:, None] * normals[on, j]
+    return g - geometry.row_dot(g, x)[:, None] * x
 
 
-def _climb_pair_in_cell(aset, linear0, u, v, iters, step, gen, tol):
-    """Hill-climb a point pair inside one cell to larger geodesic distance.
+def _climb_pairs_in_cells(aset, cells, pts, iters, rngs, tol):
+    """Hill-climb point pairs ``pts[i]`` inside cells ``cells[i]`` to larger distance.
 
     Each move pushes one endpoint away from the other, with the step slid
-    along active cell walls; a random tangent proposal is kept as a fallback.
-    Moves that leave the cell or decrease the objective are rejected, so the
-    returned value is realized by a feasible pair.
+    along active cell walls, then straight away, then in a random direction
+    (row i draws its directions up front from ``rngs[i]``).  Moves that leave
+    the cell or do not increase the distance are rejected, so every value is
+    realized by a feasible pair.  Updates ``pts`` in place; returns the values.
     """
     sites = aset.points()
-    site = sites[linear0]
-    best = float(np.arccos(clip_cosine(np.dot(u, v))))
-    pts = (u.copy(), v.copy())
-    for it in range(iters):
-        moving = it % 2
-        cur, other = pts[moving], pts[1 - moving]
-        slide = _slide_direction(cur, -other, site, sites, activation=step)
-        proposals = (
-            geometry.tangent_step(cur, slide, step),
-            geometry.tangent_step(cur, -other, step),
-            geometry.tangent_step(cur, gen.standard_normal(cur.size), step),
-        )
-        accepted = False
-        for cand in proposals:
-            val = float(np.arccos(clip_cosine(np.dot(cand, other))))
-            if val > best and cell_contains(aset, linear0 + 1, cand, tol):
-                best = val
-                pts = (cand, other) if moving == 0 else (other, cand)
-                accepted = True
-                break
-        step = min(step * 1.3, 0.5) if accepted else step * 0.8
-        if step < 1e-14:
-            break
-    return best, pts
+    normals = np.array([r.generator().standard_normal((iters, aset.dim + 1)) for r in rngs])
+
+    def propose(it, rows, steps):
+        p, step = it % 2, steps[rows]
+        cur, other = pts[rows, p], pts[rows, 1 - p]
+        slide = _slide_directions(cur, -other, sites[cells[rows]], sites, step)
+        moved = np.repeat(pts[rows], 3, axis=0)
+        moved[:, p] = np.stack(
+            [geometry.tangent_step(cur, d, step) for d in (slide, -other, normals[rows, it])], axis=1
+        ).reshape(-1, cur.shape[1])
+        owner = np.repeat(rows, 3)
+        inside = cell_mask(aset, moved[:, p], tol)[np.arange(len(owner)), cells[owner]]
+        scores = geometry.geodesic_accurate_many(moved[:, 0], moved[:, 1])
+        return owner, np.where(inside, scores, -np.inf), (moved,)
+
+    start = geometry.geodesic_accurate_many(pts[:, 0], pts[:, 1])
+    return geometry.hill_climb((pts,), start, iters, np.pi / 16, 0.5, 0.8, propose)
 
 
 def _far_pair(points: np.ndarray) -> tuple[float, int, int]:
@@ -358,7 +355,8 @@ def voronoi_diameter_estimate(
     """Lower estimate of the largest Voronoi cell diameter, with witness pair.
 
     Samples are bucketed by nearest site; each shard finds a far pair per
-    cell and hill-climbs the most promising ones without leaving the cell.
+    cell, and the most promising pairs of all shards are hill-climbed as one
+    batch without leaving their cells.
     On S^1 the answer is computed exactly instead.
 
     Returns
@@ -371,8 +369,9 @@ def voronoi_diameter_estimate(
         return _circle_vdiam_exact(aset)
 
     # Phase A (parallel, vectorized): bucket samples by cell and pull a far
-    # pair per cell.  Phase B (serial in shard order): hill-climb the best
-    # candidates; worker count therefore never influences the result.
+    # pair per cell.  Phase B (in the calling thread): hill-climb the best
+    # candidates as one batch; worker count therefore never influences the
+    # result.
     def work(index, count, shard_rng):
         xs = geometry.sample_uniform_many(aset.dim, count, shard_rng.child(0))
         assign = aset.nearest_site_many(xs)
@@ -387,21 +386,20 @@ def voronoi_diameter_estimate(
         return candidates[:4]
 
     results = run_shards(work, shard_sizes(samples, 8192), rng, threads)
-    best_val, best_pair = -1.0, None
-    for index, candidates in enumerate(results):
-        gen = rng.child(index, 1).generator()
-        for val, cell, u, v in candidates:
-            if refine_iters > 0:
-                val, (u, v) = _climb_pair_in_cell(
-                    aset, cell, u, v, refine_iters, np.pi / 16, gen, tol
-                )
-            if val > best_val:
-                best_val, best_pair = val, (u, v)
-    if best_pair is None:
+    cands = [c for candidates in results for c in candidates]
+    if not cands:
         # Degenerate budget: fall back to a site paired with itself.
         p = UnitVector(aset.reps[0])
         return 0.0, (p, p)
-    return best_val, (UnitVector(best_pair[0]), UnitVector(best_pair[1]))
+    values = np.array([c[0] for c in cands])
+    pts = np.array([(c[2], c[3]) for c in cands])
+    if refine_iters > 0:
+        cells = np.array([c[1] for c in cands])
+        # candidate j of shard i climbs on its own stream rng.child(i, 1, j)
+        rngs = [rng.child(i, 1, j) for i, candidates in enumerate(results) for j in range(len(candidates))]
+        values = _climb_pairs_in_cells(aset, cells, pts, refine_iters, rngs, tol)
+    best = int(np.argmax(values))
+    return float(values[best]), (UnitVector(pts[best, 0]), UnitVector(pts[best, 1]))
 
 
 def _covering_estimate(reps: np.ndarray, samples: int, rng: RngStream, refine_iters: int, threads) -> float:
@@ -415,41 +413,38 @@ def _covering_estimate(reps: np.ndarray, samples: int, rng: RngStream, refine_it
         raise ValueError("sample budget must be >= 1")
     dim = reps.shape[1] - 1
 
-    def cov(x):
-        return float(np.arccos(clip_cosine(np.max(np.abs(reps @ x)))))
-
     def work(index, count, shard_rng):
         xs = geometry.sample_uniform_many(dim, count, shard_rng.child(0))
         vals = np.arccos(clip_cosine(np.max(np.abs(xs @ reps.T), axis=1)))
         order = np.argsort(-vals)[:2]
         return [(float(vals[i]), xs[i]) for i in order]
 
+    def cov(xs):
+        d = geometry.geodesic_accurate_many(xs[:, None, :], reps)
+        return np.min(np.minimum(d, np.pi - d), axis=1)
+
     results = run_shards(work, shard_sizes(samples, 8192), rng, threads)
-    best = 0.0
-    for index, candidates in enumerate(results):
-        gen = rng.child(index, 1).generator()
-        for val, x in candidates:
-            step = np.pi / 16
-            for _ in range(refine_iters):
-                nearest = reps[int(np.argmax(np.abs(reps @ x)))]
-                if np.dot(nearest, x) < 0:
-                    nearest = -nearest
-                proposals = (
-                    geometry.tangent_step(x, x - nearest, step),
-                    geometry.tangent_step(x, gen.standard_normal(x.size), step),
-                )
-                accepted = False
-                for cand in proposals:
-                    cval = cov(cand)
-                    if cval > val:
-                        x, val = cand, cval
-                        accepted = True
-                        break
-                step = min(step * 1.3, 0.5) if accepted else step * 0.7
-                if step < 1e-14:
-                    break
-            best = max(best, val)
-    return best
+    values = np.array([val for candidates in results for val, _ in candidates])
+    if refine_iters > 0:
+        xs = np.array([x for candidates in results for _, x in candidates])
+        # candidate j of shard i climbs on its own stream rng.child(i, 1, j)
+        normals = np.array([
+            rng.child(index, 1, j).generator().standard_normal((refine_iters, dim + 1))
+            for index, candidates in enumerate(results) for j in range(len(candidates))
+        ])
+
+        def propose(it, rows, steps):
+            x, step = xs[rows], steps[rows]
+            dots = geometry.row_dot(x[:, None, :], reps)
+            near = np.argmax(np.abs(dots), axis=1)
+            nearest = reps[near] * np.where(dots[np.arange(len(rows)), near] < 0, -1.0, 1.0)[:, None]
+            moved = np.stack(
+                [geometry.tangent_step(x, d, step) for d in (x - nearest, normals[rows, it])], axis=1
+            ).reshape(-1, dim + 1)
+            return np.repeat(rows, 2), cov(moved), (moved,)
+
+        values = geometry.hill_climb((xs,), cov(xs), refine_iters, np.pi / 16, 0.5, 0.7, propose)
+    return max(0.0, float(values.max()))
 
 
 def hausdorff_to_sphere_estimate(

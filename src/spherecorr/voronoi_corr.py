@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry, pointsets
-from .distortion import Correspondence, ElementBatch, RelationElement
+from .distortion import Correspondence, ElementBatch
 from .geometry import UnitVector, clip_cosine
 from .pointsets import AntipodalSet
 from .rng import RngStream
@@ -86,16 +86,15 @@ class VoronoiCorrespondence(Correspondence):
         perm = rng.child(2).generator().permutation(count)
         return ElementBatch(*(np.concatenate(col)[perm] for col in zip(low, high)))
 
-    def variants_of_free(self, side, free):
-        free = np.asarray(free, dtype=float)
-        dists = (self.P if side == 0 else self.Q).site_distances(free)
-        hits = np.flatnonzero(dists <= dists.min() + self.tol)
-        if side == 0:
-            return [RelationElement(0, free, free, self.Q.points()[c], int(c)) for c in hits]
-        return [RelationElement(1, free, self.P.points()[c], free, 2 * self.P.m + int(c)) for c in hits]
+    def variants_many(self, side, frees):
+        frees = np.asarray(frees, dtype=float)
+        owner, cells = np.nonzero(pointsets.cell_mask(self.P if side == 0 else self.Q, frees, self.tol))
+        return ElementBatch(*self._elements(side, frees[owner], cells)), owner
+
+    variants_of_free = Correspondence.variants_of_free  # per-class name, wrapped by perfbench/layers.py
 
     def dist_a(self, a1, a2):
-        return geometry.geodesic_accurate(a1, a2)
+        return geometry.geodesic_accurate_many(a1, a2)
 
     dist_b = dist_a
 
@@ -138,8 +137,7 @@ class VoronoiCorrespondence(Correspondence):
         for side, aset in ((1, self.Q), (0, self.P)):
             ys = geometry.sample_uniform_many(aset.dim, per_side, rng.child(side))
             ties = self._tie_points_many(aset, ys)
-            dists = np.arccos(clip_cosine(ties @ aset.points().T))
-            hit = dists <= dists.min(axis=1, keepdims=True) + self.tol
+            hit = pointsets.cell_mask(aset, ties, self.tol)
             # Containing cells of each tie point in index order c0 < c1 < c2;
             # each point gives the pair (c0, c1), and also (c0, c2) on a triple tie.
             cells = np.argsort(~hit, axis=1, kind="stable")

@@ -85,15 +85,25 @@ def test_distortion_rpq(capsys):
     assert report["estimate"] == pytest.approx(2 * np.pi / 3, abs=0.01)
 
 
-def test_odd_estimate_does_not_exceed_true_distortion(capsys):
-    # refinement once paired a point 6.8e-10 outside cell 1 with a cell-1 angle
+@pytest.mark.parametrize(
+    "k,seed",
+    [(k, seed) for k in (3, 5, 7) for seed in (0, 3, 23, 107, 130)],
+    ids=lambda v: str(v),
+)
+def test_odd_estimate_does_not_exceed_true_distortion(capsys, k, seed):
+    # refinement once paired a point 6.8e-10 outside cell 1 with a cell-1
+    # angle (k=5, seed 130)
     code, out = run_cli(
         capsys,
-        "distortion", "--corr", "odd-rk", "--k", "5",
-        "--samples", "262144", "--threads", "1", "--seed", "130",
+        "distortion", "--corr", "odd-rk", "--k", str(k),
+        "--samples", "262144", "--threads", "1", "--seed", str(seed),
     )
     assert code == 0
-    assert json.loads(out)["estimate"] <= 4 * np.pi / 5 + 1e-12
+    report = json.loads(out)
+    assert report["bound"] == (k - 1) * np.pi / k
+    assert report["estimate"] <= (k - 1) * np.pi / k + 1e-12
+    # the witness objective and the closed form may differ by roundoff only
+    assert report["estimate"] - report["bound"] <= 4 * np.spacing(report["bound"])
 
 
 def test_distortion_rejects_even_k_for_odd_corr(capsys):

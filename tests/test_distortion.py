@@ -17,6 +17,9 @@ from spherecorr import (
 from spherecorr.distortion import (
     IdentityCorrespondence,
     RelationElement,
+    _climb_pairs,
+    _in_relation,
+    _objectives,
     pair_objective,
 )
 from spherecorr import odd_corr
@@ -209,3 +212,64 @@ def test_focus_batches_have_aligned_pair_rows(corr):
 
 def test_correspondence_without_focus_sampler_returns_none():
     assert IdentityCorrespondence(2).sample_focus_pairs(64, RngStream(0)) is None
+
+
+CLIMB_CORRS = [
+    OddCircleCorrespondence(5),
+    VoronoiCorrespondence(evenly_spaced_circle_set(5), cross_polytope_set(4)),
+]
+
+
+def sampled_pairs(corr, count, seed):
+    batch = corr.sample_batch(2 * count, RngStream(seed))
+    rows = np.arange(count)
+    return batch.take(rows), batch.take(count + rows)
+
+
+@pytest.mark.parametrize("corr", CLIMB_CORRS, ids=["odd", "rpq"])
+def test_refined_values_are_realized_and_never_below_start(corr):
+    first, second = sampled_pairs(corr, 40, 12)
+    start = _objectives(corr, first, second)
+    rngs = [RngStream(13).child(i) for i in range(40)]
+    values = _climb_pairs(corr, first, second, 40, np.pi / 16, 0.9, rngs)
+    assert np.all(values >= start)
+    assert np.any(values > start)
+    for i in range(40):
+        # the climber scores in the arithmetic of pair_objective: equal, not close
+        assert values[i] == pair_objective(corr, first.element(i, corr), second.element(i, corr))
+    assert _in_relation(corr, first).all() and _in_relation(corr, second).all()
+
+
+@pytest.mark.parametrize("corr", CLIMB_CORRS, ids=["odd", "rpq"])
+def test_refinement_rows_are_batch_independent(corr):
+    first, second = sampled_pairs(corr, 24, 14)
+    rngs = [RngStream(15).child(i) for i in range(24)]
+    together = (first.take(np.arange(24)), second.take(np.arange(24)))
+    values = _climb_pairs(corr, *together, 30, np.pi / 16, 0.9, rngs)
+    for i in (0, 7, 23):
+        alone = (first.take([i]), second.take([i]))
+        value = _climb_pairs(corr, *alone, 30, np.pi / 16, 0.9, [rngs[i]])
+        assert value[0] == values[i]
+        for a, b in zip(alone, together):
+            assert np.array_equal(a.a[0], b.a[i]) and np.array_equal(a.b[0], b.b[i])
+            assert a.strata[0] == b.strata[i]
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_refined_odd_states_lie_in_closed_cells(k, monkeypatch):
+    corr = OddCircleCorrespondence(k)
+    offered = []
+    variants_many = corr.variants_many
+
+    def recording(side, frees):
+        batch, owner = variants_many(side, frees)
+        offered.append(batch)
+        return batch, owner
+
+    monkeypatch.setattr(corr, "variants_many", recording)
+    first, second = sampled_pairs(corr, 30, 16 + k)
+    _climb_pairs(corr, first, second, 30, np.pi / 16, 0.9, [RngStream(17).child(i) for i in range(30)])
+    # every state the climber can accept is one of these variants
+    for batch in offered + [first, second]:
+        mask = odd_corr._cell_mask(k, batch.a, 0.0)
+        assert mask[np.arange(len(batch.strata)), batch.strata].all()
