@@ -1,16 +1,18 @@
 """Empirical distortion estimation for sphere correspondences.
 
-A correspondence is exposed to the engine as a black box with two abilities:
-sample relation elements, and list the relation elements sitting over given
-free points.  Both samplers (uniform and the optional focus sampler) return
-an :class:`ElementBatch` whose row i is paired with row half+i.  Phase A
-scores every sampled pair of either batch through one vectorized path,
-tracks the largest value of |d_A(a, a') - d_B(b, b')| per stratum pair, and
-keeps the best pairs of every shard as candidates.  Phase B hill-climbs all
-candidates of all shards as one batch, re-deriving membership of every
-proposal through ``variants_many``, so every reported value is realized by a
-concrete, re-checkable witness pair and the estimate is a lower bound on the
-true distortion.
+A correspondence is exposed to the engine as a black box with three
+abilities: sample relation elements, list the relation elements sitting
+over given free points, and measure row-wise distances on its two factors.
+Both samplers (uniform and the optional focus sampler) return an
+:class:`ElementBatch` whose row i is paired with row half+i.  Phase A scores
+every sampled pair of either batch, tracks the largest value of
+|d_A(a, a') - d_B(b, b')| per stratum pair, and keeps the best pairs of
+every shard as candidates.  Phase B hill-climbs all candidates of all shards
+as one batch, re-deriving membership of every proposal through
+``variants_many``.  Phase A, phase B and :func:`pair_objective` score pairs
+through the one function :func:`_objectives`, so every reported value is
+realized by a concrete, re-checkable witness pair and the estimate is a
+lower bound on the true distortion.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import numpy as np
 from . import geometry
 from .parallel import SHARD_SIZE, run_shards, shard_sizes
 from .rng import RngStream
-
-DEFAULT_MEMBERSHIP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,12 @@ class ElementBatch:
 
 
 class Correspondence(ABC):
-    """Relation between two spheres, exposed through samplers and queries."""
+    """Relation between two spheres, exposed through samplers and queries.
 
-    tol: float = DEFAULT_MEMBERSHIP_TOL
+    ``dist_a`` and ``dist_b`` are the only distances the engine scores; on a
+    sphere factor they are :func:`geometry.geodesic_many`, which is accurate
+    at 0 and pi where the distortion of a collapse is attained.
+    """
 
     @property
     @abstractmethod
@@ -137,12 +140,6 @@ class Correspondence(ABC):
     def dist_b(self, b1, b2):
         """Exact distance on factor B, row-wise on stacked points."""
 
-    @abstractmethod
-    def dist_a_many(self, a1: np.ndarray, a2: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
-    def dist_b_many(self, b1: np.ndarray, b2: np.ndarray) -> np.ndarray: ...
-
     def sample_focus_pairs(self, count: int, rng: RngStream) -> ElementBatch | None:
         """Optional targeted pairs (boundary strata etc.), paired like a batch.
 
@@ -180,8 +177,8 @@ def _close(p: np.ndarray, q: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def pair_objective(corr: Correspondence, e1: RelationElement, e2: RelationElement) -> float:
-    """|d_A(a1, a2) - d_B(b1, b2)| for a pair of relation elements."""
-    return float(abs(corr.dist_a(e1.a, e2.a) - corr.dist_b(e1.b, e2.b)))
+    """|d_A(a1, a2) - d_B(b1, b2)| of two relation elements: one row of :func:`_objectives`."""
+    return float(_objectives(corr, ElementBatch.of([e1]), ElementBatch.of([e2]))[0])
 
 
 @dataclass
@@ -300,7 +297,7 @@ def _climb_pairs(corr, first: ElementBatch, second: ElementBatch, iters, step, d
 
 
 def _objectives(corr: Correspondence, first: ElementBatch, second: ElementBatch) -> np.ndarray:
-    """Row-wise exact pair objectives; one row gives :func:`pair_objective`."""
+    """Row-wise exact pair objectives |d_A - d_B|: the one scoring path of the engine."""
     return np.abs(corr.dist_a(first.a, second.a) - corr.dist_b(first.b, second.b))
 
 
@@ -315,11 +312,9 @@ def _scan_pairs(corr: Correspondence, batch: ElementBatch, stratum_max: np.ndarr
     Folds the objectives into ``stratum_max`` and returns (objectives, keys).
     """
     half = len(batch.strata) // 2
-    lo, hi = slice(0, half), slice(half, 2 * half)
-    obj = np.abs(
-        corr.dist_a_many(batch.a[lo], batch.a[hi]) - corr.dist_b_many(batch.b[lo], batch.b[hi])
-    )
-    keys = _stratum_pair_key(corr.n_strata, batch.strata[lo], batch.strata[hi])
+    first, second = batch.take(slice(0, half)), batch.take(slice(half, 2 * half))
+    obj = _objectives(corr, first, second)
+    keys = _stratum_pair_key(corr.n_strata, first.strata, second.strata)
     np.maximum.at(stratum_max, keys, obj)
     return obj, keys
 
@@ -446,11 +441,6 @@ class IdentityCorrespondence(Correspondence):
         return ElementBatch(a=frees, b=frees, side=zeros, strata=zeros), np.arange(len(frees))
 
     def dist_a(self, a1, a2):
-        return geometry.geodesic_accurate_many(a1, a2)
-
-    dist_b = dist_a
-
-    def dist_a_many(self, a1, a2):
         return geometry.geodesic_many(a1, a2)
 
-    dist_b_many = dist_a_many
+    dist_b = dist_a

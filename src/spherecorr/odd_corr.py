@@ -288,10 +288,9 @@ class OddCircleCorrespondence(Correspondence):
     and on boundary ties, where the distortion maximum lives.
     """
 
-    def __init__(self, k: int, tol: float = DEFAULT_TOL):
+    def __init__(self, k: int):
         _check_k(k)
         self.k = k
-        self.tol = tol
         self._focus_pairs = case_reduction_pairs(k)
 
     @property
@@ -314,7 +313,7 @@ class OddCircleCorrespondence(Correspondence):
 
     def variants_many(self, side, frees):
         frees = np.asarray(frees, dtype=float)
-        owner, cells = np.nonzero(_cell_mask(self.k, frees, self.tol))
+        owner, cells = np.nonzero(_cell_mask(self.k, frees, DEFAULT_TOL))
         axes, _ = _cell_tables(self.k)
         xs = frees[owner]
         edges = np.abs(xs[np.arange(len(cells)), axes[cells]])
@@ -329,15 +328,9 @@ class OddCircleCorrespondence(Correspondence):
     variants_of_free = Correspondence.variants_of_free  # per-class name, wrapped by perfbench/layers.py
 
     def dist_a(self, a1, a2):
-        return geometry.geodesic_accurate_many(a1, a2)
-
-    def dist_b(self, b1, b2):
-        return geometry.circle_distance_many(b1, b2)
-
-    def dist_a_many(self, a1, a2):
         return geometry.geodesic_many(a1, a2)
 
-    def dist_b_many(self, b1, b2):
+    def dist_b(self, b1, b2):
         return geometry.circle_distance_many(b1, b2)
 
     def sample_focus_pairs(self, count, rng):

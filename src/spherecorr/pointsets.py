@@ -89,8 +89,7 @@ class AntipodalSet:
 
     def site_distances(self, x: np.ndarray) -> np.ndarray:
         """Geodesic distances from ``x`` to all 2m sites; (rows, 2m) for a stack of rows."""
-        x = np.asarray(x, dtype=float)
-        return np.arccos(clip_cosine(geometry.row_dot(x[..., None, :], self._points)))
+        return geometry.geodesic_many(np.asarray(x, dtype=float)[..., None, :], self._points)
 
     def nearest_site_many(self, xs: np.ndarray) -> np.ndarray:
         """0-based nearest-site index for each row of ``xs`` (ties -> lowest)."""
@@ -284,7 +283,7 @@ def _slide_directions(x, raw, own_sites, sites, activation):
     return g - geometry.row_dot(g, x)[:, None] * x
 
 
-def _climb_pairs_in_cells(aset, cells, pts, iters, rngs, tol):
+def _climb_pairs_in_cells(aset, cells, pts, iters, rngs):
     """Hill-climb point pairs ``pts[i]`` inside cells ``cells[i]`` to larger distance.
 
     Each move pushes one endpoint away from the other, with the step slid
@@ -305,11 +304,11 @@ def _climb_pairs_in_cells(aset, cells, pts, iters, rngs, tol):
             [geometry.tangent_step(cur, d, step) for d in (slide, -other, normals[rows, it])], axis=1
         ).reshape(-1, cur.shape[1])
         owner = np.repeat(rows, 3)
-        inside = cell_mask(aset, moved[:, p], tol)[np.arange(len(owner)), cells[owner]]
-        scores = geometry.geodesic_accurate_many(moved[:, 0], moved[:, 1])
+        inside = cell_mask(aset, moved[:, p])[np.arange(len(owner)), cells[owner]]
+        scores = geometry.geodesic_many(moved[:, 0], moved[:, 1])
         return owner, np.where(inside, scores, -np.inf), (moved,)
 
-    start = geometry.geodesic_accurate_many(pts[:, 0], pts[:, 1])
+    start = geometry.geodesic_many(pts[:, 0], pts[:, 1])
     return geometry.hill_climb((pts,), start, iters, np.pi / 16, 0.5, 0.8, propose)
 
 
@@ -349,7 +348,6 @@ def voronoi_diameter_estimate(
     samples: int,
     refine_iters: int = 200,
     rng: RngStream = RngStream(0),
-    tol: float = DEFAULT_CELL_TOL,
     threads: int | None = None,
 ) -> tuple[float, tuple[UnitVector, UnitVector]]:
     """Lower estimate of the largest Voronoi cell diameter, with witness pair.
@@ -397,7 +395,7 @@ def voronoi_diameter_estimate(
         cells = np.array([c[1] for c in cands])
         # candidate j of shard i climbs on its own stream rng.child(i, 1, j)
         rngs = [rng.child(i, 1, j) for i, candidates in enumerate(results) for j in range(len(candidates))]
-        values = _climb_pairs_in_cells(aset, cells, pts, refine_iters, rngs, tol)
+        values = _climb_pairs_in_cells(aset, cells, pts, refine_iters, rngs)
     best = int(np.argmax(values))
     return float(values[best]), (UnitVector(pts[best, 0]), UnitVector(pts[best, 1]))
 
@@ -420,7 +418,7 @@ def _covering_estimate(reps: np.ndarray, samples: int, rng: RngStream, refine_it
         return [(float(vals[i]), xs[i]) for i in order]
 
     def cov(xs):
-        d = geometry.geodesic_accurate_many(xs[:, None, :], reps)
+        d = geometry.geodesic_many(xs[:, None, :], reps)
         return np.min(np.minimum(d, np.pi - d), axis=1)
 
     results = run_shards(work, shard_sizes(samples, 8192), rng, threads)

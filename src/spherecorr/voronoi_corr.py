@@ -16,11 +16,9 @@ import numpy as np
 
 from . import geometry, pointsets
 from .distortion import Correspondence, ElementBatch
-from .geometry import UnitVector, clip_cosine
-from .pointsets import AntipodalSet
+from .geometry import UnitVector
+from .pointsets import DEFAULT_CELL_TOL, AntipodalSet
 from .rng import RngStream
-
-DEFAULT_TOL = 1e-9
 
 LOW, HIGH = "low", "high"
 
@@ -31,17 +29,17 @@ class VoronoiCorrespondence(Correspondence):
     Relation elements are tracked by their free point: either a point of the
     low sphere paired with the site of a containing cell of Q, or a point of
     the high sphere paired with the site of a containing cell of P.  Strata
-    are the 4m signed cells, counted per direction.
+    are the 4m signed cells, counted per direction.  Cell membership admits
+    ties within ``pointsets.DEFAULT_CELL_TOL`` radians of site distance.
     """
 
-    def __init__(self, p_set: AntipodalSet, q_set: AntipodalSet, tol: float = DEFAULT_TOL):
+    def __init__(self, p_set: AntipodalSet, q_set: AntipodalSet):
         if p_set.m != q_set.m:
             raise ValueError(
                 f"the two sets must have equal size: {p_set.m} vs {q_set.m} representatives"
             )
         self.P = p_set
         self.Q = q_set
-        self.tol = tol
 
     def to_json_dict(self) -> dict:
         return {"P": self.P.to_json_dict(), "Q": self.Q.to_json_dict()}
@@ -88,20 +86,15 @@ class VoronoiCorrespondence(Correspondence):
 
     def variants_many(self, side, frees):
         frees = np.asarray(frees, dtype=float)
-        owner, cells = np.nonzero(pointsets.cell_mask(self.P if side == 0 else self.Q, frees, self.tol))
+        owner, cells = np.nonzero(pointsets.cell_mask(self.P if side == 0 else self.Q, frees))
         return ElementBatch(*self._elements(side, frees[owner], cells)), owner
 
     variants_of_free = Correspondence.variants_of_free  # per-class name, wrapped by perfbench/layers.py
 
     def dist_a(self, a1, a2):
-        return geometry.geodesic_accurate_many(a1, a2)
-
-    dist_b = dist_a
-
-    def dist_a_many(self, a1, a2):
         return geometry.geodesic_many(a1, a2)
 
-    dist_b_many = dist_a_many
+    dist_b = dist_a
 
     # -- boundary-focused candidates -----------------------------------------
 
@@ -111,14 +104,14 @@ class VoronoiCorrespondence(Correspondence):
 
         Bisection along the chord toward the second site; rows whose second
         site is antipodal are left in place (they get a single variant and are
-        dropped by the caller).
+        dropped by the caller).  Only which site is nearer matters here, so
+        sites are ordered and compared by inner product, not by distance.
         """
         sites = aset.points()
-        dists = np.arccos(clip_cosine(ys @ sites.T))
-        order = np.argsort(dists, axis=1, kind="stable")
+        order = np.argsort(-(ys @ sites.T), axis=1, kind="stable")
         c1, c2 = order[:, 0], order[:, 1]
         target = sites[c2]
-        movable = np.einsum("ij,ij->i", ys, target) > -1.0 + 1e-12
+        movable = geometry.row_dot(ys, target) > -1.0 + 1e-12
         lo = np.zeros(len(ys))
         hi = np.where(movable, 1.0, 0.0)
         s1, s2 = sites[c1], sites[c2]
@@ -126,9 +119,9 @@ class VoronoiCorrespondence(Correspondence):
         for _ in range(50):
             mid = 0.5 * (lo + hi)
             pts = geometry.normalize_rows((1 - mid)[:, None] * ys + mid[:, None] * target)
-            gap = geometry.geodesic_many(pts, s1) - geometry.geodesic_many(pts, s2)
-            lo = np.where(gap < 0, mid, lo)
-            hi = np.where(gap < 0, hi, mid)
+            nearer = geometry.row_dot(pts, s1) > geometry.row_dot(pts, s2)
+            lo = np.where(nearer, mid, lo)
+            hi = np.where(nearer, hi, mid)
         return geometry.normalize_rows((1 - hi)[:, None] * ys + hi[:, None] * target)
 
     def sample_focus_pairs(self, count, rng):
@@ -137,7 +130,7 @@ class VoronoiCorrespondence(Correspondence):
         for side, aset in ((1, self.Q), (0, self.P)):
             ys = geometry.sample_uniform_many(aset.dim, per_side, rng.child(side))
             ties = self._tie_points_many(aset, ys)
-            hit = pointsets.cell_mask(aset, ties, self.tol)
+            hit = pointsets.cell_mask(aset, ties)
             # Containing cells of each tie point in index order c0 < c1 < c2;
             # each point gives the pair (c0, c1), and also (c0, c2) on a triple tie.
             cells = np.argsort(~hit, axis=1, kind="stable")
@@ -166,7 +159,7 @@ def rpq_bound(
 
 
 def rpq_correspondents(
-    corr: VoronoiCorrespondence, point: UnitVector, side: str, tol: float = DEFAULT_TOL
+    corr: VoronoiCorrespondence, point: UnitVector, side: str, tol: float = DEFAULT_CELL_TOL
 ) -> list[UnitVector]:
     """Site correspondents of ``point``: the signed sites of its cells.
 
@@ -194,10 +187,10 @@ def rpq_sample_pair(
     gen = rng.generator()
     if gen.random() < 0.5:
         x = geometry.sample_uniform_many(corr.P.dim, 1, rng.child(0))[0]
-        cells = pointsets.voronoi_cells_of(corr.P, UnitVector(x), corr.tol)
+        cells = pointsets.voronoi_cells_of(corr.P, UnitVector(x))
         pick = cells[gen.integers(len(cells))]
         return UnitVector(x), UnitVector(corr.Q.points()[pick.linear - 1])
     y = geometry.sample_uniform_many(corr.Q.dim, 1, rng.child(1))[0]
-    cells = pointsets.voronoi_cells_of(corr.Q, UnitVector(y), corr.tol)
+    cells = pointsets.voronoi_cells_of(corr.Q, UnitVector(y))
     pick = cells[gen.integers(len(cells))]
     return UnitVector(corr.P.points()[pick.linear - 1]), UnitVector(y)

@@ -167,6 +167,14 @@ def test_verify_geometry(capsys):
     assert {"invariant", "status", "max_violation", "witness", "detail", "scope"} <= set(rows[0])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_geometry_at_a_million_samples(capsys, seed):
+    # the circle embedding reaches 0 and pi, where a clipped arccos loses ~1e-11
+    code, out = run_cli(capsys, "verify", "--scope", "geometry", "--samples", "1000000", "--seed", str(seed))
+    assert code == 0
+    assert all(json.loads(line)["status"] == "pass" for line in out.strip().split("\n"))
+
+
 def test_verify_odd_k3(capsys):
     code, out = run_cli(capsys, "verify", "--scope", "odd", "--k", "3", "--samples", "5000")
     assert code == 0

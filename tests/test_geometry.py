@@ -12,7 +12,16 @@ from spherecorr import (
     geodesic_distance,
     projective_distance,
 )
-from spherecorr.geometry import geodesic_accurate, reduce_angle, sample_uniform_many
+from spherecorr.geometry import (
+    HALF_CHORD_COS,
+    geodesic_accurate,
+    geodesic_many,
+    normalize_rows,
+    projective_many,
+    reduce_angle,
+    row_dot,
+    sample_uniform_many,
+)
 
 E1 = UnitVector([1, 0, 0])
 E2 = UnitVector([0, 1, 0])
@@ -143,12 +152,56 @@ def test_circle_distance_matches_embedded_geodesic():
         assert circle_distance(a, b) == pytest.approx(emb, abs=1e-12)
 
 
+ENDPOINT_ANGLES = [0.0, 1e-12, 1e-9, 1e-6, np.pi / 2, np.pi - 1e-9, np.pi - 1e-12, np.pi]
+
+
+def plane_rows(angles):
+    """Row pairs (e1, u) in R^3 with u at each given angle from e1 in the e1-e2 plane."""
+    t = np.asarray(angles, dtype=float)
+    return np.tile([1.0, 0.0, 0.0], (t.size, 1)), np.column_stack([np.cos(t), np.sin(t), 0.0 * t])
+
+
 def test_geodesic_accurate_endpoints():
     x = np.array([1.0, 0.0, 0.0])
     assert geodesic_accurate(x, x) == 0.0
     assert geodesic_accurate(x, -x) == pytest.approx(np.pi, abs=1e-15)
     y = np.array([np.cos(1e-9), np.sin(1e-9), 0.0])
     assert geodesic_accurate(x, y) == pytest.approx(1e-9, rel=1e-6)
+    a, b = plane_rows(ENDPOINT_ANGLES)
+    batch = geodesic_many(a, b)
+    for i, t in enumerate(ENDPOINT_ANGLES):
+        assert abs(batch[i] - t) <= 1e-15
+        assert abs(geodesic_accurate(a[i], b[i]) - t) <= 1e-15
+
+
+def mixed_rows(count, seed):
+    """Unit rows of S^4 whose pairs are near 0, near pi, or generic, in turn."""
+    rng = RngStream(seed)
+    xs = sample_uniform_many(4, count, rng.child(0))
+    ys = sample_uniform_many(4, count, rng.child(1))
+    ys[::3] = normalize_rows(xs[::3] + 1e-3 * ys[::3])
+    ys[1::3] = normalize_rows(-xs[1::3] + 1e-3 * ys[1::3])
+    return xs, ys
+
+
+def test_geodesic_rows_are_batch_independent():
+    xs, ys = mixed_rows(300, 16)
+    cos = np.abs(row_dot(xs, ys))
+    assert np.any(cos > HALF_CHORD_COS) and np.any(cos <= HALF_CHORD_COS)
+    batch = geodesic_many(xs, ys)
+    table = geodesic_many(xs[:, None, :], ys[:7])
+    for i in range(300):
+        assert geodesic_many(xs[i : i + 1], ys[i : i + 1])[0] == batch[i]
+        assert geodesic_accurate(xs[i], ys[i]) == batch[i]
+        for j in range(7):
+            assert table[i, j] == geodesic_accurate(xs[i], ys[j])
+
+
+@pytest.mark.parametrize("rows", ["plane", "mixed"])
+def test_projective_many_matches_folded_geodesic_many(rows):
+    a, b = plane_rows(ENDPOINT_ANGLES) if rows == "plane" else mixed_rows(600, 17)
+    d = geodesic_many(a, b)
+    assert np.max(np.abs(projective_many(a, b) - np.minimum(d, np.pi - d))) <= 1e-15
 
 
 def test_sample_uniform_statistics():
