@@ -35,11 +35,8 @@ from .odd_corr import (
     cyclic_shift,
     max_distortion_witness,
     ordered_cells_of,
-    pair_distortion,
-    sample_cell_boundary,
 )
 from .packing import (
-    CoveringResult,
     PackingResult,
     PackingStore,
     asymptotic_table,
@@ -66,7 +63,6 @@ from .voronoi_corr import (
     VoronoiCorrespondence,
     rpq_bound,
     rpq_correspondents,
-    rpq_sample_pair,
 )
 
 __version__ = "0.1.0"

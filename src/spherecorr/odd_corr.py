@@ -197,15 +197,6 @@ def cyclic_shift(k: int, n: int, x: UnitVector) -> UnitVector:
     return UnitVector(coords)
 
 
-def pair_distortion(
-    k: int, i: int, j: int, x: UnitVector, z: UnitVector, tol: float = DEFAULT_TOL
-) -> float:
-    """|d_circle(angle_i(x), angle_j(z)) - d_sphere(x, z)| for cells i, j."""
-    ai = cell_angle(k, i, x, tol)
-    aj = cell_angle(k, j, z, tol)
-    return abs(circle_distance(ai, aj) - geometry.geodesic_distance(x, z))
-
-
 def case_reduction_pairs(k: int) -> list[tuple[int, int]]:
     """The two cell pairs left after exploiting the cyclic and antipodal symmetries.
 
@@ -224,11 +215,6 @@ def compatible_boundary(k: int, m1: int, m2: int) -> bool:
     return cell_axis(k, m1) != cell_axis(k, m2)
 
 
-def sample_cell_boundary(k: int, m1: int, m2: int, rng: RngStream) -> UnitVector:
-    """One sample from the tie set shared by ordered cells m1 and m2."""
-    return UnitVector(sample_cell_boundary_many(k, m1, m2, 1, rng)[0])
-
-
 def sample_cell_boundary_many(k: int, m1: int, m2: int, count: int, rng: RngStream) -> np.ndarray:
     """Samples with the two distinguished coordinates tied at the maximum magnitude."""
     _check_k(k)
@@ -242,15 +228,19 @@ def sample_cell_boundary_many(k: int, m1: int, m2: int, count: int, rng: RngStre
     return geometry.normalize_rows(g)
 
 
-def sample_in_ordered_cell_many(k: int, m: int, count: int, rng: RngStream) -> np.ndarray:
-    """Uniform samples of ordered cell m.
+def sample_in_ordered_cell_many(k: int, m, count: int, rng: RngStream) -> np.ndarray:
+    """Uniform samples of ordered cell m, or of cell m[i] in row i for an array m.
 
     Draws uniform sphere points and maps each isometrically (coordinate swap
-    plus sign flips) from its own cell onto cell m; cells have equal measure,
-    so the result is uniform on the target cell.
+    plus sign flips) from its own cell onto its target cell; cells have equal
+    measure, so each row is uniform on its target cell.
     """
     _check_k(k)
-    axis, sign = cell_axis(k, m), cell_sign(k, m)
+    ms = np.broadcast_to(np.asarray(m, dtype=int), (count,))
+    if np.any((ms < 1) | (ms > 2 * k + 2)):
+        raise ValueError(f"ordered cell index out of range 1..{2 * k + 2}")
+    axes, signs = _cell_tables(k)
+    axis, sign = axes[ms - 1], signs[ms - 1]
     xs = geometry.sample_uniform_many(k, count, rng)
     rows = np.arange(count)
     src = np.argmax(np.abs(xs), axis=1)
@@ -258,7 +248,7 @@ def sample_in_ordered_cell_many(k: int, m: int, count: int, rng: RngStream) -> n
     xs[rows, src] = xs[rows, axis]
     xs[rows, axis] = vals_src
     flip = np.sign(xs[rows, axis]) != sign
-    xs[rows[flip], axis] *= -1.0
+    xs[rows[flip], axis[flip]] *= -1.0
     return xs
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import geometry, serialize
 from .distortion import SearchBudget
-from .pointsets import _covering_estimate, arc_rows, cross_polytope_vdiam_exact
+from .pointsets import arc_rows, covering_radius, cross_polytope_vdiam_exact
 from .rng import RngStream
 
 BETA_SCHEDULE = (8.0, 32.0, 128.0, 512.0)
@@ -101,22 +101,6 @@ class PackingResult:
             iterations=int(data["iterations"]),
             restarts_used=int(data["restarts_used"]),
         )
-
-
-@dataclass
-class CoveringResult:
-    """Sampled lower estimate of the covering radius of a configuration."""
-
-    points: np.ndarray
-    radius_estimate: float
-    samples: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "points": self.points.tolist(),
-            "radius_estimate": self.radius_estimate,
-            "samples": self.samples,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +234,9 @@ def optimize_packing(
     )
 
 
-def covering_radius_estimate(
-    points,
-    samples: int,
-    rng: RngStream = RngStream(0),
-    refine_iters: int = 120,
-    threads: int | None = None,
-) -> CoveringResult:
-    """Sampled lower estimate of sup_x min_i d_RP(x, x_i) with hill climbing."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] < 1:
-        raise ValueError("need at least one point")
-    best = _covering_estimate(pts, samples, rng, refine_iters, threads)
-    return CoveringResult(points=pts, radius_estimate=best, samples=samples)
+def covering_radius_estimate(points) -> float:
+    """Exact covering radius sup_x min_i d_RP(x, x_i) of unit rows ``points``."""
+    return covering_radius(points)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ the implicit negatives.  The module builds the three constructions used by
 the correspondence machinery (evenly spaced circle points, cross-polytope
 vertices, cross-polytope vertices augmented with arc points) and answers
 separation, cell-membership, Voronoi-diameter, and covering queries.
+Separation and the covering radius are exact; the Voronoi diameter is exact
+on S^1 and a sampled, hill-climbed lower estimate elsewhere.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,6 +212,45 @@ def cross_polytope_vdiam_exact(k: int) -> float:
     return float(np.arccos(-(k - 1.0) / (k + 1.0)))
 
 
+def covering_radius(reps: np.ndarray) -> float:
+    """Exact covering radius sup_x min_i d(x, +-reps_i) of unit rows ``reps``.
+
+    The distance to the nearer of +-p is the projective distance to p, so
+    this is both the covering radius of the antipodal set and the projective
+    covering radius of the representatives.  The farthest points are Voronoi
+    vertices of +-P, which are the unit normals of the facets of conv(+-P),
+    and each facet holds n+1 linearly independent signed representatives.
+    So every independent (n+1)-subset and every sign pattern s (first sign
+    fixed: s and -s give one line) yields a candidate v with <v, s_i p_i> = 1;
+    each candidate is scored at its own point, so no score exceeds the
+    radius, and the largest score equals it.  If no n+1 representatives are
+    independent, a unit vector orthogonal to all of them lies at pi/2.
+
+    Cost: C(m, n+1) * 2^n solves of (n+1) x (n+1) systems.
+    """
+    reps = np.atleast_2d(np.asarray(reps, dtype=float))
+    m, d = reps.shape
+    if m < 1:
+        raise ValueError("need at least one point")
+    subsets = np.array(list(itertools.combinations(range(m), d)), dtype=int).reshape(-1, d)
+    rows = reps[subsets]
+    rows = rows[np.linalg.matrix_rank(rows) == d]
+    if not len(rows):
+        return np.pi / 2
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))[: 2 ** (d - 1)]
+    v = np.linalg.solve(rows[:, None], signs[None, :, :, None]).reshape(-1, d)
+    v = geometry.normalize_rows(v)
+    return float(np.max(np.min(geometry.projective_many(v[:, None, :], reps), axis=1)))
+
+
+def hausdorff_to_sphere_estimate(aset: AntipodalSet) -> float:
+    """Hausdorff distance from the set to its sphere: its exact covering radius.
+
+    The exact side of the inequality vdiam <= 2 * d_H.
+    """
+    return covering_radius(aset.reps)
+
+
 def cell_mask(aset: AntipodalSet, xs: np.ndarray, tol: float = DEFAULT_CELL_TOL) -> np.ndarray:
     """(rows, 2m) mask of the cells whose site distance is within ``tol`` of each row's minimum."""
     dists = aset.site_distances(xs)
@@ -254,7 +296,7 @@ def sample_in_cell(
 
 
 # ---------------------------------------------------------------------------
-# Sampled estimators
+# Sampled Voronoi-diameter estimator
 # ---------------------------------------------------------------------------
 
 def _slide_directions(x, raw, own_sites, sites, activation):
@@ -398,62 +440,3 @@ def voronoi_diameter_estimate(
         values = _climb_pairs_in_cells(aset, cells, pts, refine_iters, rngs)
     best = int(np.argmax(values))
     return float(values[best]), (UnitVector(pts[best, 0]), UnitVector(pts[best, 1]))
-
-
-def _covering_estimate(reps: np.ndarray, samples: int, rng: RngStream, refine_iters: int, threads) -> float:
-    """Lower estimate of sup_x min_i d(x, +-reps_i): sampled, then hill-climbed.
-
-    The distance to the nearer of +-p is the projective distance to p, so
-    this is both the covering radius of the antipodal set and the projective
-    covering radius of the representatives.
-    """
-    if samples < 1:
-        raise ValueError("sample budget must be >= 1")
-    dim = reps.shape[1] - 1
-
-    def work(index, count, shard_rng):
-        xs = geometry.sample_uniform_many(dim, count, shard_rng.child(0))
-        vals = np.arccos(clip_cosine(np.max(np.abs(xs @ reps.T), axis=1)))
-        order = np.argsort(-vals)[:2]
-        return [(float(vals[i]), xs[i]) for i in order]
-
-    def cov(xs):
-        d = geometry.geodesic_many(xs[:, None, :], reps)
-        return np.min(np.minimum(d, np.pi - d), axis=1)
-
-    results = run_shards(work, shard_sizes(samples, 8192), rng, threads)
-    values = np.array([val for candidates in results for val, _ in candidates])
-    if refine_iters > 0:
-        xs = np.array([x for candidates in results for _, x in candidates])
-        # candidate j of shard i climbs on its own stream rng.child(i, 1, j)
-        normals = np.array([
-            rng.child(index, 1, j).generator().standard_normal((refine_iters, dim + 1))
-            for index, candidates in enumerate(results) for j in range(len(candidates))
-        ])
-
-        def propose(it, rows, steps):
-            x, step = xs[rows], steps[rows]
-            dots = geometry.row_dot(x[:, None, :], reps)
-            near = np.argmax(np.abs(dots), axis=1)
-            nearest = reps[near] * np.where(dots[np.arange(len(rows)), near] < 0, -1.0, 1.0)[:, None]
-            moved = np.stack(
-                [geometry.tangent_step(x, d, step) for d in (x - nearest, normals[rows, it])], axis=1
-            ).reshape(-1, dim + 1)
-            return np.repeat(rows, 2), cov(moved), (moved,)
-
-        values = geometry.hill_climb((xs,), cov(xs), refine_iters, np.pi / 16, 0.5, 0.7, propose)
-    return max(0.0, float(values.max()))
-
-
-def hausdorff_to_sphere_estimate(
-    aset: AntipodalSet,
-    samples: int,
-    rng: RngStream = RngStream(0),
-    refine_iters: int = 120,
-    threads: int | None = None,
-) -> float:
-    """Lower estimate of the covering radius sup_x min_i d(x, site_i).
-
-    Useful as the sampled side of the inequality vdiam <= 2 * d_H.
-    """
-    return _covering_estimate(aset.reps, samples, rng, refine_iters, threads)

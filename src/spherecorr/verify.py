@@ -211,13 +211,11 @@ def check_pointsets(samples: int, rng: RngStream, threads=None) -> list[Invarian
     vd, _ = pointsets.voronoi_diameter_estimate(
         cp, max(20000, samples), 100, rng.child(20), threads=threads
     )
-    dh = pointsets.hausdorff_to_sphere_estimate(
-        cp, max(20000, samples), rng.child(21), threads=threads
-    )
+    dh = pointsets.hausdorff_to_sphere_estimate(cp)
     out.append(
         _result(
             "vdiam-vs-hausdorff", "pointsets", max(vd / 2 - dh - 0.01, 0.0), 0.0,
-            "covering estimate >= vdiam estimate / 2 - 0.01",
+            "covering radius >= vdiam estimate / 2 - 0.01",
         )
     )
     return out
@@ -386,18 +384,7 @@ def sample_same_cell_pairs(k: int, count: int, rng: RngStream) -> tuple[np.ndarr
     """(X, Y, m): uniform pairs lying in a common ordered cell."""
     xs = geometry.sample_uniform_many(k, count, rng.child(0))
     ms = odd_corr.principal_cells_many(k, xs)
-    ys = geometry.sample_uniform_many(k, count, rng.child(1))
-    rows = np.arange(count)
-    axes_tbl, signs_tbl = odd_corr._cell_tables(k)
-    tgt_axis = axes_tbl[ms - 1]
-    tgt_sign = signs_tbl[ms - 1]
-    src = np.argmax(np.abs(ys), axis=1)
-    tmp = ys[rows, tgt_axis].copy()
-    ys[rows, tgt_axis] = ys[rows, src]
-    ys[rows, src] = tmp
-    flip = np.sign(ys[rows, tgt_axis]) != tgt_sign
-    ys[rows[flip], tgt_axis[flip]] *= -1.0
-    return xs, ys, ms
+    return xs, odd_corr.sample_in_ordered_cell_many(k, ms, count, rng.child(1)), ms
 
 
 def distance_decrease_violations(k: int, count: int, rng: RngStream) -> tuple[int, float]:
@@ -607,7 +594,7 @@ def check_odd(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
 # packing
 # ---------------------------------------------------------------------------
 
-def check_packing(samples: int, rng: RngStream, threads=None) -> list[InvariantResult]:
+def check_packing(rng: RngStream, threads=None) -> list[InvariantResult]:
     out = []
     budget = SearchBudget(samples=1200, refine_iters=300, initial_step=0.08, decay=0.9, restarts=12)
     r15 = packing.optimize_packing(1, 5, budget, rng.child(0), threads)
@@ -631,23 +618,23 @@ def check_packing(samples: int, rng: RngStream, threads=None) -> list[InvariantR
             "four lines in RP^2 pack at arccos(1/3)",
         )
     )
-    cov = packing.covering_radius_estimate(np.eye(3), max(20000, samples), rng.child(3), threads=threads)
+    cov = packing.covering_radius_estimate(np.eye(3))
     out.append(
         _result(
             "basis-covering-radius", "packing",
-            abs(cov.radius_estimate - np.arccos(1 / np.sqrt(3))), 0.01,
+            abs(cov - np.arccos(1 / np.sqrt(3))), 1e-12,
             "basis lines of RP^2 cover at arccos(1/sqrt(3))",
         )
     )
     worst = 0.0
     for n, m in ((2, 4), (2, 6), (3, 8)):
         res = packing.optimize_packing(n, m, budget, rng.child(10 + m), threads)
-        c = packing.covering_radius_estimate(res.points, max(20000, samples), rng.child(20 + m), threads=threads)
-        worst = max(worst, c.radius_estimate - res.min_dist - 0.01)
+        c = packing.covering_radius_estimate(res.points)
+        worst = max(worst, c - res.min_dist - 0.01)
     out.append(
         _result(
             "covering-below-packing", "packing", max(worst, 0.0), 0.0,
-            "covering radius estimate <= packing distance + 0.01",
+            "covering radius <= packing distance + 0.01",
         )
     )
     return out
@@ -680,7 +667,7 @@ def run_verify(
             ks = [k for k in (k_values or [3])]
             out.extend(check_odd(ks, samples, rng.child(4), threads))
         elif sc == "packing":
-            out.extend(check_packing(samples, rng.child(5), threads))
+            out.extend(check_packing(rng.child(5), threads))
         else:
             raise ValueError(f"unknown scope {scope!r}")
     return out

@@ -18,7 +18,6 @@ from . import geometry, pointsets
 from .distortion import Correspondence, ElementBatch
 from .geometry import UnitVector
 from .pointsets import DEFAULT_CELL_TOL, AntipodalSet
-from .rng import RngStream
 
 LOW, HIGH = "low", "high"
 
@@ -178,19 +177,3 @@ def rpq_correspondents(
         cells = pointsets.voronoi_cells_of(corr.Q, point, tol)
         return [UnitVector(corr.P.points()[c.linear - 1]) for c in cells]
     raise ValueError(f"side must be '{LOW}' or '{HIGH}', got {side!r}")
-
-
-def rpq_sample_pair(
-    corr: VoronoiCorrespondence, rng: RngStream
-) -> tuple[UnitVector, UnitVector]:
-    """One relation element (x, y), mixing the two collapse directions 50/50."""
-    gen = rng.generator()
-    if gen.random() < 0.5:
-        x = geometry.sample_uniform_many(corr.P.dim, 1, rng.child(0))[0]
-        cells = pointsets.voronoi_cells_of(corr.P, UnitVector(x))
-        pick = cells[gen.integers(len(cells))]
-        return UnitVector(x), UnitVector(corr.Q.points()[pick.linear - 1])
-    y = geometry.sample_uniform_many(corr.Q.dim, 1, rng.child(1))[0]
-    cells = pointsets.voronoi_cells_of(corr.Q, UnitVector(y))
-    pick = cells[gen.integers(len(cells))]
-    return UnitVector(corr.P.points()[pick.linear - 1]), UnitVector(y)

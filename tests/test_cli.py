@@ -106,6 +106,25 @@ def test_odd_estimate_does_not_exceed_true_distortion(capsys, k, seed):
     assert report["estimate"] - report["bound"] <= 4 * np.spacing(report["bound"])
 
 
+@pytest.mark.parametrize(
+    "k,seed",
+    [(k, seed) for k in (2, 3, 4, 5, 6) for seed in (0, 3, 23, 130)],
+    ids=lambda v: str(v),
+)
+def test_rpq_estimate_stays_within_ulps_of_its_bound(capsys, k, seed):
+    # at k = 4 the witness distance is computed from rounded site coordinates
+    # and prints one ulp above the closed-form 4pi/5
+    code, out = run_cli(
+        capsys,
+        "distortion", "--corr", "rpq-even-cross", "--k", str(k),
+        "--samples", "65536", "--seed", str(seed),
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["bound"] == pytest.approx(k * np.pi / (k + 1), abs=1e-15)
+    assert report["estimate"] - report["bound"] <= 4 * np.spacing(report["bound"])
+
+
 def test_distortion_rejects_even_k_for_odd_corr(capsys):
     code, _ = run_cli(capsys, "distortion", "--corr", "odd-rk", "--k", "4", "--samples", "100")
     assert code == 2

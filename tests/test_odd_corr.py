@@ -15,10 +15,9 @@ from spherecorr import (
     geodesic_distance,
     max_distortion_witness,
     ordered_cells_of,
-    pair_distortion,
-    sample_cell_boundary,
 )
 from spherecorr import odd_corr
+from spherecorr.distortion import ElementBatch, _objectives
 from spherecorr.geometry import sample_uniform_many
 
 PI24 = np.pi / 24
@@ -209,46 +208,71 @@ def test_cell_maps_strictly_contract():
         assert np.all(ok)
 
 
-def test_pair_distortion_values():
+def pair_objectives(k, ms, xs, ns, zs):
+    """Engine objectives |d_circle - d_sphere| of the pairs ((xs[i], cell ms[i]), (zs[i], cell ns[i]))."""
+
+    def elements(cells, pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        cells = np.broadcast_to(cells, (len(pts),))
+        for m, p in zip(cells, pts):
+            assert m in ordered_cells_of(k, UnitVector(p))
+        angles = odd_corr.cell_angles_many(k, pts, cells)
+        return ElementBatch(a=pts, b=angles, side=np.zeros(len(pts), dtype=int), strata=cells - 1)
+
+    return _objectives(OddCircleCorrespondence(k), elements(ms, xs), elements(ns, zs))
+
+
+def test_pair_objective_values():
     # boundary pair between the first and last ordered cells attains 2 pi/3
-    x = UnitVector([1, 0, 0, -1])
-    assert pair_distortion(3, 1, 4, x, x) == pytest.approx(2 * np.pi / 3, abs=1e-12)
+    x = UnitVector([1, 0, 0, -1]).coords
+    assert pair_objectives(3, 1, x, 4, x)[0] == pytest.approx(2 * np.pi / 3, abs=1e-12)
     # identical pair in one cell: zero
-    y = UnitVector([0.9, 0.1, 0.2, 0.1])
-    m = ordered_cells_of(3, y)[0]
-    assert pair_distortion(3, m, m, y, y) == 0.0
+    y = UnitVector([0.9, 0.1, 0.2, 0.1]).coords
+    m = ordered_cells_of(3, UnitVector(y))[0]
+    assert pair_objectives(3, m, y, m, y)[0] == 0.0
     # antipodal pair across opposite cells: both distances are pi
-    assert pair_distortion(3, 1, 5, y, y.antipode()) == pytest.approx(0.0, abs=1e-12)
+    assert pair_objectives(3, 1, y, 5, -y)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_symmetry_reduction_identities():
     # shifting both arguments back to the first cell preserves the objective
-    k = 3
+    k, count = 3, 20
     gen = RngStream(12)
-    for trial in range(20):
-        i = int(gen.child(trial, 0).generator().integers(1, 2 * k + 3))
-        j = int(gen.child(trial, 1).generator().integers(1, 2 * k + 3))
-        x = UnitVector(odd_corr.sample_in_ordered_cell_many(k, i, 1, gen.child(trial, 2))[0])
-        z = UnitVector(odd_corr.sample_in_ordered_cell_many(k, j, 1, gen.child(trial, 3))[0])
-        d1 = pair_distortion(k, i, j, x, z)
-        back = 2 * k + 2 - (i - 1)
-        x0 = cyclic_shift(k, back, x)
-        z0 = cyclic_shift(k, back, z)
-        j0 = (j - i) % (2 * k + 2) + 1
-        assert pair_distortion(k, 1, j0, x0, z0) == pytest.approx(d1, abs=1e-12)
+    i = gen.child(0).generator().integers(1, 2 * k + 3, size=count)
+    j = gen.child(1).generator().integers(1, 2 * k + 3, size=count)
+    xs = odd_corr.sample_in_ordered_cell_many(k, i, count, gen.child(2))
+    zs = odd_corr.sample_in_ordered_cell_many(k, j, count, gen.child(3))
+    back = 2 * k + 2 - (i - 1)
+    x0 = np.array([cyclic_shift(k, int(b), UnitVector(x)).coords for b, x in zip(back, xs)])
+    z0 = np.array([cyclic_shift(k, int(b), UnitVector(z)).coords for b, z in zip(back, zs)])
+    j0 = (j - i) % (2 * k + 2) + 1
+    d1 = pair_objectives(k, i, xs, j, zs)
+    assert np.allclose(pair_objectives(k, 1, x0, j0, z0), d1, rtol=0, atol=1e-12)
 
 
 def test_antipodal_reduction_identity():
     # the objective of (1, j) pairs matches (j, k+2) pairs on negated points
-    k = 3
+    k, count = 3, 20
     gen = RngStream(13)
-    for trial in range(20):
-        j = int(gen.child(trial, 0).generator().integers(1, 2 * k + 3))
-        x = UnitVector(odd_corr.sample_in_ordered_cell_many(k, 1, 1, gen.child(trial, 1))[0])
-        z = UnitVector(odd_corr.sample_in_ordered_cell_many(k, j, 1, gen.child(trial, 2))[0])
-        d1 = pair_distortion(k, 1, j, x, z)
-        d2 = pair_distortion(k, j, k + 2, z, x.antipode())
-        assert d2 == pytest.approx(d1, abs=1e-12)
+    j = gen.child(0).generator().integers(1, 2 * k + 3, size=count)
+    xs = odd_corr.sample_in_ordered_cell_many(k, 1, count, gen.child(1))
+    zs = odd_corr.sample_in_ordered_cell_many(k, j, count, gen.child(2))
+    d1 = pair_objectives(k, 1, xs, j, zs)
+    d2 = pair_objectives(k, j, zs, k + 2, -xs)
+    assert np.allclose(d2, d1, rtol=0, atol=1e-12)
+
+
+def test_ordered_cell_sampler_takes_per_row_cells():
+    k = 5
+    ms = np.arange(1, 2 * k + 3)
+    xs = odd_corr.sample_in_ordered_cell_many(k, ms, len(ms), RngStream(21))
+    assert np.array_equal(odd_corr.principal_cells_many(k, xs), ms)
+    # one cell for every row is the broadcast case of the same draw
+    one = odd_corr.sample_in_ordered_cell_many(k, 3, len(ms), RngStream(21))
+    assert np.array_equal(one, odd_corr.sample_in_ordered_cell_many(k, np.full(len(ms), 3), len(ms), RngStream(21)))
+    for bad in (0, 2 * k + 3):
+        with pytest.raises(ValueError):
+            odd_corr.sample_in_ordered_cell_many(k, bad, 4, RngStream(0))
 
 
 # -- witnesses and search support --------------------------------------------
@@ -274,25 +298,25 @@ def test_case_reduction_pairs():
 def test_boundary_sample_membership():
     k = 3
     for (m1, m2) in ((1, 4), (1, 2), (3, 8)):
-        for t in range(50):
-            x = sample_cell_boundary(k, m1, m2, RngStream(14).child(m1, m2, t))
-            cells = ordered_cells_of(k, x, tol=1e-9)
+        xs = odd_corr.sample_cell_boundary_many(k, m1, m2, 50, RngStream(14).child(m1, m2))
+        for x in xs:
+            cells = ordered_cells_of(k, UnitVector(x), tol=1e-9)
             assert m1 in cells and m2 in cells
 
 
 def test_boundary_sample_tied_coordinates():
-    x = sample_cell_boundary(3, 1, 4, RngStream(15))
-    assert x.coords[0] == pytest.approx(-x.coords[3], abs=1e-15)
-    assert abs(x.coords[0]) == pytest.approx(np.max(np.abs(x.coords)), abs=1e-15)
-    y = sample_cell_boundary(3, 1, 2, RngStream(16))
-    assert y.coords[0] == pytest.approx(-y.coords[1], abs=1e-15)
+    xs = odd_corr.sample_cell_boundary_many(3, 1, 4, 50, RngStream(15))
+    assert np.allclose(xs[:, 0], -xs[:, 3], rtol=0, atol=1e-15)
+    assert np.allclose(np.abs(xs[:, 0]), np.max(np.abs(xs), axis=1), rtol=0, atol=1e-15)
+    ys = odd_corr.sample_cell_boundary_many(3, 1, 2, 50, RngStream(16))
+    assert np.allclose(ys[:, 0], -ys[:, 1], rtol=0, atol=1e-15)
 
 
 def test_boundary_sample_incompatible_cells():
     with pytest.raises(ValueError):
-        sample_cell_boundary(3, 1, 5, RngStream(0))  # antipodal cells: empty tie set
+        odd_corr.sample_cell_boundary_many(3, 1, 5, 1, RngStream(0))  # antipodal cells: empty tie set
     with pytest.raises(ValueError):
-        sample_cell_boundary(3, 2, 2, RngStream(0))
+        odd_corr.sample_cell_boundary_many(3, 2, 2, 1, RngStream(0))
 
 
 def test_boundary_sample_bulk_membership_rate():

@@ -17,6 +17,7 @@ from spherecorr import (
     voronoi_cells_of,
     voronoi_diameter_estimate,
 )
+from spherecorr.pointsets import covering_radius
 from spherecorr.serialize import dumps
 
 
@@ -220,11 +221,55 @@ def test_arc_augmented_vdiam_below_cross_bound():
 
 def test_hausdorff_estimate_values():
     # even circle: half gap
-    est = hausdorff_to_sphere_estimate(evenly_spaced_circle_set(4), 20000, RngStream(2))
-    assert est == pytest.approx(np.pi / 8, abs=1e-3)
+    est = hausdorff_to_sphere_estimate(evenly_spaced_circle_set(4))
+    assert est == pytest.approx(np.pi / 8, abs=1e-12)
     # cross-polytope on S^2: the fixed cube-corner point is farthest
-    est = hausdorff_to_sphere_estimate(cross_polytope_set(2), 20000, RngStream(2))
-    assert est == pytest.approx(np.arccos(1 / np.sqrt(3)), abs=0.01)
+    est = hausdorff_to_sphere_estimate(cross_polytope_set(2))
+    assert est == pytest.approx(np.arccos(1 / np.sqrt(3)), abs=1e-12)
+
+
+def hull_covering_radius(reps) -> float:
+    """Independent oracle: the farthest points of +-reps are the facet normals of their hull."""
+    from scipy.spatial import ConvexHull
+
+    offsets = ConvexHull(np.vstack([reps, -reps])).equations[:, -1]
+    return float(np.max(np.arccos(np.clip(-offsets, -1.0, 1.0))))
+
+
+COVERING_CASES = (
+    [("circle", 1, m) for m in (2, 3, 5, 8)]
+    + [("cross", n, n + 1) for n in (1, 2, 3, 4)]
+    # arc points share coordinate planes, so many (n+1)-subsets are singular
+    + [("arc", n, k) for n, k in ((2, 3), (2, 4), (2, 8), (3, 4), (3, 6), (4, 5))]
+    + [("random", n, m) for n in (1, 2, 3, 4) for m in (n + 1, n + 4)]
+    + [("packing", n, n + 4) for n in (1, 2, 3, 4)]
+)
+
+
+@pytest.mark.parametrize("kind,n,size", COVERING_CASES)
+def test_covering_radius_matches_convex_hull(kind, n, size):
+    from spherecorr import SearchBudget, optimize_packing
+
+    if kind == "circle":
+        reps = evenly_spaced_circle_set(size).reps
+    elif kind == "cross":
+        reps = cross_polytope_set(n).reps
+    elif kind == "arc":
+        reps = arc_augmented_set(n, size).reps
+    elif kind == "random":
+        reps = AntipodalSet(np.random.default_rng(10 * n + size).standard_normal((size, n + 1))).reps
+    else:
+        budget = SearchBudget(samples=400, refine_iters=100, restarts=4)
+        reps = optimize_packing(n, size, budget, RngStream(4).child(n)).points
+    assert covering_radius(reps) == pytest.approx(hull_covering_radius(reps), abs=1e-12)
+
+
+def test_covering_radius_without_a_spanning_subset_is_a_right_angle():
+    # fewer than n+1 lines, or lines confined to a hyperplane: some point is orthogonal to all
+    assert covering_radius(np.eye(4)[:3]) == np.pi / 2
+    assert covering_radius(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.8, 0.0]])) == np.pi / 2
+    with pytest.raises(ValueError):
+        covering_radius(np.empty((0, 3)))
 
 
 def test_hausdorff_dense_grid_oracle():
@@ -245,16 +290,13 @@ def test_hausdorff_is_the_projective_covering_radius_of_the_reps():
     from spherecorr import covering_radius_estimate
 
     for aset in (cross_polytope_set(2), evenly_spaced_circle_set(5), arc_augmented_set(2, 4)):
-        for seed in (0, 3):
-            dh = hausdorff_to_sphere_estimate(aset, 4000, RngStream(seed))
-            cov = covering_radius_estimate(aset.reps, 4000, RngStream(seed))
-            assert dh == cov.radius_estimate
+        assert hausdorff_to_sphere_estimate(aset) == covering_radius_estimate(aset.reps)
 
 
 def test_vdiam_against_hausdorff_inequality():
     for aset in (cross_polytope_set(2), arc_augmented_set(2, 4)):
         vd, _ = voronoi_diameter_estimate(aset, 10000, 60, RngStream(6))
-        dh = hausdorff_to_sphere_estimate(aset, 10000, RngStream(7))
+        dh = hausdorff_to_sphere_estimate(aset)
         assert dh >= vd / 2 - 0.01
 
 

@@ -11,7 +11,6 @@ from spherecorr import (
     evenly_spaced_circle_set,
     rpq_bound,
     rpq_correspondents,
-    rpq_sample_pair,
     separation,
     voronoi_diameter_estimate,
 )
@@ -84,20 +83,15 @@ def test_correspondents_validations():
         rpq_correspondents(corr, UnitVector([1, 0]), "sideways")
 
 
-def test_sample_pair_membership_and_reproducibility():
+def test_sample_batch_membership_and_reproducibility():
     corr = even_cross(2)
-    for t in range(50):
-        x, y = rpq_sample_pair(corr, RngStream(7).child(t))
-        if x.dim == 1:
-            sites = rpq_correspondents(corr, x, "low")
-            assert any(np.allclose(y.coords, s.coords, atol=1e-9) for s in sites) or any(
-                np.allclose(x.coords, s.coords, atol=1e-9)
-                for s in rpq_correspondents(corr, y, "high")
-            )
-    a = rpq_sample_pair(corr, RngStream(123))
-    b = rpq_sample_pair(corr, RngStream(123))
-    assert np.array_equal(a[0].coords, b[0].coords)
-    assert np.array_equal(a[1].coords, b[1].coords)
+    batch = corr.sample_batch(100, RngStream(7))
+    assert set(batch.side.tolist()) == {0, 1}
+    for i in range(len(batch.strata)):
+        assert corr.element_valid(batch.element(i, corr)), i
+    again = corr.sample_batch(100, RngStream(7))
+    for col, col2 in zip(batch.columns, again.columns):
+        assert np.array_equal(col, col2)
 
 
 def test_sampler_hits_every_stratum():
