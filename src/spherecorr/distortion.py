@@ -319,6 +319,16 @@ def _scan_pairs(corr: Correspondence, batch: ElementBatch, stratum_max: np.ndarr
     return obj, keys
 
 
+def _stratum_picks(obj, keys, stratum_max, restarts: int) -> np.ndarray:
+    """Rows of the best pair of each of the top ``restarts`` strata, without a sort:
+    a key's pick is its earliest row attaining ``stratum_max``, and picks come
+    by decreasing objective, earliest row first."""
+    tops = np.flatnonzero(obj == stratum_max[keys])
+    _, first = np.unique(keys[tops], return_index=True)
+    best = tops[first]
+    return best[np.lexsort((best, -obj[best]))][:restarts]
+
+
 def _pair_rows(batch: ElementBatch, idx) -> tuple[ElementBatch, ElementBatch]:
     half = len(batch.strata) // 2
     idx = np.asarray(idx, dtype=int)
@@ -354,18 +364,7 @@ def estimate_distortion(
         batch = corr.sample_batch(count, shard_rng.child(0))
         obj, keys = _scan_pairs(corr, batch, stratum_max)
 
-        # Candidate pairs: the best sampled pair from each of the top strata.
-        picks: list[int] = []
-        seen_keys: set[int] = set()
-        for idx in np.argsort(-obj, kind="stable"):
-            key = int(keys[idx])
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            picks.append(idx)
-            if len(picks) >= budget.restarts:
-                break
-        candidates = [_pair_rows(batch, picks)]
+        candidates = [_pair_rows(batch, _stratum_picks(obj, keys, stratum_max, budget.restarts))]
         used = count
         focus = corr.sample_focus_pairs(max(2, count // 4), shard_rng.child(1))
         if focus is not None:

@@ -101,29 +101,27 @@ class VoronoiCorrespondence(Correspondence):
     def _tie_points_many(aset: AntipodalSet, ys: np.ndarray) -> np.ndarray:
         """Slide each row toward its second-nearest site until the top two tie.
 
-        Bisection along the chord toward the second site; rows whose second
-        site is antipodal are left in place (they get a single variant and are
-        dropped by the caller).  Only which site is nearer matters here, so
-        sites are ordered and compared by inner product, not by distance.
+        With s1, s2 the nearest and second-nearest site (ordered by inner
+        product), the tie <q, s1> = <q, s2> on the chord q(t) = (1-t) y + t s2
+        is linear in t, so t = f0 / (f0 - f1) with f0 = <y, s1 - s2> >= 0 and
+        f1 = <s2, s1 - s2> = <s1, s2> - 1 < 0; t lies in [0, 1).  The tie
+        point is q(t) normalized; it is at least as near to s1 and s2 as to
+        any other site.  Rows whose second site is antipodal are left in place
+        (they get a single variant and are dropped by the caller).
         """
         sites = aset.points()
         order = np.argsort(-(ys @ sites.T), axis=1, kind="stable")
-        c1, c2 = order[:, 0], order[:, 1]
-        target = sites[c2]
-        movable = geometry.row_dot(ys, target) > -1.0 + 1e-12
-        lo = np.zeros(len(ys))
-        hi = np.where(movable, 1.0, 0.0)
-        s1, s2 = sites[c1], sites[c2]
-        pts = ys
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            pts = geometry.normalize_rows((1 - mid)[:, None] * ys + mid[:, None] * target)
-            nearer = geometry.row_dot(pts, s1) > geometry.row_dot(pts, s2)
-            lo = np.where(nearer, mid, lo)
-            hi = np.where(nearer, hi, mid)
-        return geometry.normalize_rows((1 - hi)[:, None] * ys + hi[:, None] * target)
+        s1, s2 = sites[order[:, 0]], sites[order[:, 1]]
+        f0, f1 = geometry.row_dot(ys, s1 - s2), geometry.row_dot(s2, s1 - s2)
+        movable = geometry.row_dot(ys, s2) > -1.0 + 1e-12
+        t = np.where(movable, f0 / (f0 - f1), 0.0)
+        return geometry.normalize_rows((1 - t)[:, None] * ys + t[:, None] * s2)
 
     def sample_focus_pairs(self, count, rng):
+        """Element pairs over ``count // 8`` closed-form tie points per side
+        (:meth:`_tie_points_many`).  A pair's objective is a distance between
+        two sites of the other set; the tie point decides which cells pair.
+        """
         per_side = max(1, count // 8)
         left, right = [], []  # column blocks; row t of left pairs with row t of right
         for side, aset in ((1, self.Q), (0, self.P)):

@@ -20,6 +20,7 @@ from spherecorr.distortion import (
     _climb_pairs,
     _in_relation,
     _objectives,
+    _stratum_picks,
     pair_objective,
 )
 from spherecorr import odd_corr
@@ -208,6 +209,40 @@ def test_focus_batches_have_aligned_pair_rows(corr):
     half = rows // 2
     # both elements of every focus pair carry their free point on the same side
     assert np.array_equal(batch.side[:half], batch.side[half:])
+
+
+def sort_and_skip_picks(obj, keys, restarts):
+    """Reference: the best pair of each of the top strata by a stable sort and a skip loop."""
+    picks, seen = [], set()
+    for idx in np.argsort(-obj, kind="stable"):
+        if int(keys[idx]) not in seen:
+            seen.add(int(keys[idx]))
+            picks.append(idx)
+            if len(picks) >= restarts:
+                break
+    return picks
+
+
+@pytest.mark.parametrize(
+    "rows, n_keys, levels, restarts",
+    [
+        (4096, 40, None, 8),  # continuous objectives
+        (4096, 40, 5, 8),  # many exact ties, zeros among them
+        (300, 3, 4, 8),  # more restarts than distinct keys
+        (200, 1, 3, 4),  # a single key
+        (64, 10, 1, 8),  # every objective zero
+        (1, 5, None, 8),
+    ],
+)
+def test_stratum_picks_match_sort_and_skip(rows, n_keys, levels, restarts):
+    gen = np.random.default_rng(rows + n_keys)
+    for _ in range(20):
+        obj = gen.random(rows) if levels is None else gen.integers(0, levels, rows) / 4.0
+        keys = gen.integers(0, n_keys, rows) * 3  # sparse keys, as stratum-pair keys are
+        stratum_max = np.full(3 * n_keys, -1.0)
+        np.maximum.at(stratum_max, keys, obj)
+        picks = _stratum_picks(obj, keys, stratum_max, restarts)
+        assert picks.tolist() == sort_and_skip_picks(obj, keys, restarts)
 
 
 def test_correspondence_without_focus_sampler_returns_none():

@@ -14,6 +14,8 @@ from spherecorr import (
     separation,
     voronoi_diameter_estimate,
 )
+from spherecorr.geometry import geodesic_many, normalize_rows, sample_uniform_many
+from spherecorr.pointsets import AntipodalSet, cell_mask
 from spherecorr.verify import nine_case_witnesses
 
 
@@ -129,6 +131,50 @@ def test_focus_pairs_are_valid_relation_elements():
     assert rows > 0
     for i in range(rows):
         assert corr.element_valid(batch.element(i, corr)), i
+
+
+def bisection_ties(aset, ys):
+    """Reference: 50 bisection steps along the chord toward the second-nearest site."""
+    sites = aset.points()
+    order = np.argsort(-(ys @ sites.T), axis=1, kind="stable")
+    s1, s2 = sites[order[:, 0]], sites[order[:, 1]]
+    lo = np.zeros(len(ys))
+    hi = np.where(np.sum(ys * s2, axis=1) > -1.0 + 1e-12, 1.0, 0.0)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        pts = normalize_rows((1 - mid)[:, None] * ys + mid[:, None] * s2)
+        nearer = np.sum(pts * s1, axis=1) > np.sum(pts * s2, axis=1)
+        lo, hi = np.where(nearer, mid, lo), np.where(nearer, hi, mid)
+    return normalize_rows((1 - hi)[:, None] * ys + hi[:, None] * s2)
+
+
+@pytest.mark.parametrize(
+    "aset",
+    [evenly_spaced_circle_set(5), cross_polytope_set(4), arc_augmented_set(2, 6)],
+    ids=["circle", "cross", "arc"],
+)
+def test_tie_points_tie_the_two_nearest_sites(aset):
+    sites = aset.points()
+    ys = np.vstack([sample_uniform_many(aset.dim, 2000, RngStream(31)), sites])
+    ties = VoronoiCorrespondence._tie_points_many(aset, ys)
+    order = np.argsort(-(ys @ sites.T), axis=1, kind="stable")
+    c1, c2 = order[:, 0], order[:, 1]
+    rows = np.arange(len(ys))
+    assert np.all(np.abs(np.sum(ties * sites[c1], axis=1) - np.sum(ties * sites[c2], axis=1)) <= 1e-14)
+    hit = cell_mask(aset, ties)
+    assert hit[rows, c1].all() and hit[rows, c2].all()
+    # on the arc from y to s2: the two legs add up to the whole arc
+    legs = geodesic_many(ys, ties) + geodesic_many(ties, sites[c2])
+    assert np.max(np.abs(legs - geodesic_many(ys, sites[c2]))) <= 1e-12
+    assert np.max(np.abs(ties - bisection_ties(aset, ys))) <= 1e-14
+
+
+def test_tie_points_stay_put_when_the_second_site_is_antipodal():
+    aset = AntipodalSet([[1.0, 0.0, 0.0]])
+    ys = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 1e-7, 0.0]])
+    ties = VoronoiCorrespondence._tie_points_many(aset, ys)
+    assert np.array_equal(ties, normalize_rows(ys))
+    assert np.array_equal(ties, bisection_ties(aset, ys))
 
 
 def test_correspondence_json_roundtrip():
