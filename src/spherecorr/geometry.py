@@ -32,7 +32,7 @@ def clip_cosine(c):
     paths that hold cosines and no vector pairs use this, away from 0 and
     pi; distances between vectors go through :func:`geodesic_many`.
     """
-    return np.clip(c, -1.0, 1.0)
+    return np.minimum(np.maximum(c, -1.0), 1.0)
 
 
 class UnitVector:
@@ -191,9 +191,13 @@ def sample_uniform_many(dim: int, count: int, rng: RngStream) -> np.ndarray:
 
 
 def normalize_rows(arr: np.ndarray) -> np.ndarray:
-    """Normalize the rows of an array to unit Euclidean norm."""
-    norms = np.linalg.norm(arr, axis=-1, keepdims=True)
-    if np.any(norms == 0.0):
+    """Normalize the rows of an array to unit Euclidean norm.
+
+    The norms are what ``np.linalg.norm(arr, axis=-1, keepdims=True)``
+    computes, without its Python wrapper.
+    """
+    norms = np.sqrt(np.add.reduce(arr * arr, axis=-1, keepdims=True))
+    if (norms == 0.0).any():
         raise ValueError("cannot normalize a zero row")
     return arr / norms
 

@@ -64,14 +64,14 @@ def min_pair_distance(points: np.ndarray) -> float:
 
 
 def canonicalize_signs(points: np.ndarray) -> np.ndarray:
-    """Flip representatives so the first coordinate above 1e-12 is positive."""
+    """Flip representatives so the first coordinate above 1e-12 is positive.
+
+    Rows run along the last axis; a row with no such coordinate is kept.
+    """
     pts = np.array(points, dtype=float)
-    for row in pts:
-        for c in row:
-            if abs(c) > 1e-12:
-                if c < 0:
-                    row *= -1.0
-                break
+    first = np.argmax(np.abs(pts) > 1e-12, axis=-1)
+    lead = np.take_along_axis(pts, first[..., None], axis=-1)[..., 0]
+    pts[lead < -1e-12] *= -1.0
     return pts
 
 
@@ -110,32 +110,39 @@ class PackingResult:
 def _soft_ascent(x: np.ndarray, iters_per_beta: int, step0: float) -> np.ndarray:
     """Ascend the soft-min energy of every restart through the sharpening schedule.
 
-    ``x`` is an (R, m, n+1) stack of starts.  A restart whose weights or
-    gradient vanish stops moving until the next beta stage.
+    ``x`` is an (R, m, n+1) stack of starts.  The nearest pair of a restart
+    always weighs exp(0) = 1, so its weights never vanish; a restart whose
+    gradient vanishes stops moving until the next beta stage.
     """
-    x = x.copy()
+    count, m = x.shape[:2]
     for beta in BETA_SCHEDULE:
         step = step0
         shrink = (1e-2) ** (1.0 / max(iters_per_beta, 1))
-        live = np.ones(len(x), dtype=bool)
+        live = np.ones(count, dtype=bool)
         for _ in range(iters_per_beta):
             gram = x @ x.transpose(0, 2, 1)
-            d = _gram_distances(gram)
-            w = np.exp(-beta * (d - d.min(axis=(1, 2), keepdims=True)))  # 0 on the diagonal
-            total = w.reshape(len(x), -1).sum(axis=1)
-            live &= total > 0
-            w /= np.where(live, total, 1.0)[:, None, None]
-            sin = np.sqrt(np.maximum(1.0 - np.minimum(np.abs(gram), 1.0) ** 2, 1e-12))
-            coef = -w * np.sign(gram) / sin
-            grad = coef @ x
+            a = np.minimum(np.abs(gram), 1.0)
+            w = np.arccos(a)
+            w.reshape(count, -1)[:, :: m + 1] = np.inf
+            w -= w.min(axis=(1, 2), keepdims=True)
+            w *= -beta
+            np.exp(w, out=w)  # 0 on the diagonal
+            w /= w.reshape(count, -1).sum(axis=1)[:, None, None]
+            np.negative(w, out=w)
+            w *= np.sign(gram)
+            w /= np.sqrt(np.maximum(1.0 - a * a, 1e-12))
+            grad = w @ x
             grad -= np.einsum("rij,rij->ri", grad, x)[..., None] * x
-            top = np.max(np.linalg.norm(grad, axis=-1), axis=1)
+            top = np.sqrt(np.add.reduce(grad * grad, axis=-1).max(axis=1))
             live &= top >= 1e-300
-            if not live.any():
+            if live.all():
+                x = geometry.normalize_rows(x + (step / top)[:, None, None] * grad)
+            elif live.any():
+                scale = step / np.where(live, top, 1.0)
+                moved = geometry.normalize_rows(x + scale[:, None, None] * grad)
+                x = np.where(live[:, None, None], moved, x)
+            else:
                 break
-            scale = step / np.where(live, top, 1.0)
-            moved = geometry.normalize_rows(x + scale[:, None, None] * grad)
-            x = np.where(live[:, None, None], moved, x)
             step *= shrink
     return x
 
@@ -164,27 +171,31 @@ def _polish(x: np.ndarray, iters: int, step0: float, decay: float) -> tuple[np.n
     x = x.copy()
     count, m = x.shape[:2]
     upper = np.triu(np.ones((m, m), dtype=bool), 1)
-    best = projective_gram(x).min(axis=(1, 2))
+    gram = x @ x.transpose(0, 2, 1)
+    d = _gram_distances(gram)
+    best = d.min(axis=(1, 2))
     step = np.full(count, step0)
     used = np.zeros(count, dtype=int)
     run = np.ones(count, dtype=bool)
     for it in range(iters):
         used[run] = it + 1
-        gram = x @ x.transpose(0, 2, 1)
-        d = _gram_distances(gram)
-        tight = d <= d.min(axis=(1, 2), keepdims=True) + 1e-12
+        tight = d <= best[:, None, None] + 1e-12
         c = np.where(tight & upper, -np.sign(gram), 0.0)
         move = c @ x + c.transpose(0, 2, 1) @ x
-        norms = np.linalg.norm(move, axis=-1)
+        norms = np.sqrt(np.add.reduce(move * move, axis=-1))
         active = norms > 1e-300
         run &= active.any(axis=1)
         if not run.any():
             break
         pushed = x + step[:, None, None] * move / np.where(active, norms, 1.0)[..., None]
         trial = geometry.normalize_rows(np.where(active[..., None], pushed, x))
-        val = projective_gram(trial).min(axis=(1, 2))
+        trial_gram = trial @ trial.transpose(0, 2, 1)
+        trial_d = _gram_distances(trial_gram)
+        val = trial_d.min(axis=(1, 2))
         better = run & (val > best)
         x[better], best[better] = trial[better], val[better]
+        # bitwise what x @ x.T gives next time: the batched matmul works per restart
+        gram[better], d[better] = trial_gram[better], trial_d[better]
         step = np.where(better, np.minimum(step * 1.2, 0.3), np.where(run, step * decay, step))
         run &= better | (step >= 1e-13)
     return x, used
@@ -220,11 +231,9 @@ def optimize_packing(
         x = _circle_polish(x, budget.refine_iters)
     x, used = _polish(x, budget.refine_iters, budget.initial_step, budget.decay)
     best_val, best_x, best_iters = -1.0, None, 0
-    for points, steps in zip(x, used):
-        points = canonicalize_signs(geometry.normalize_rows(points))
+    for points, steps in zip(canonicalize_signs(geometry.normalize_rows(x)), used):
         val = min_pair_distance(points)
-        key = points.tolist()
-        if val > best_val or (val == best_val and best_x is not None and key < best_x.tolist()):
+        if val > best_val or (val == best_val and points.tolist() < best_x.tolist()):
             best_val, best_x, best_iters = val, points, iters_per_beta * len(BETA_SCHEDULE) + int(steps)
     return PackingResult(
         points=best_x,

@@ -14,6 +14,7 @@ from spherecorr import (
 )
 from spherecorr.geometry import (
     HALF_CHORD_COS,
+    clip_cosine,
     geodesic_accurate,
     geodesic_many,
     normalize_rows,
@@ -202,6 +203,35 @@ def test_projective_many_matches_folded_geodesic_many(rows):
     a, b = plane_rows(ENDPOINT_ANGLES) if rows == "plane" else mixed_rows(600, 17)
     d = geodesic_many(a, b)
     assert np.max(np.abs(projective_many(a, b) - np.minimum(d, np.pi - d))) <= 1e-15
+
+
+def test_clip_cosine_matches_np_clip_bitwise():
+    one_up, one_down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+    values = [0.0, -0.0, 0.3, -0.7, 1.0, -1.0, one_up, one_down, -one_up, -one_down,
+              2.5, -2.5, np.inf, -np.inf, np.nan]
+    for v in values:
+        for c in (v, np.float64(v), np.array(v)):
+            got, want = clip_cosine(c), np.clip(c, -1.0, 1.0)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    arr = np.array(values)
+    assert clip_cosine(arr).tobytes() == np.clip(arr, -1.0, 1.0).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5,), (9, 3), (4, 7, 3), (32768, 4)])
+def test_normalize_rows_matches_linalg_norm_bitwise(shape):
+    arr = np.random.default_rng(sum(shape)).normal(size=shape) * 3.0
+    want = arr / np.linalg.norm(arr, axis=-1, keepdims=True)
+    assert normalize_rows(arr).tobytes() == want.tobytes()
+
+
+def test_normalize_rows_rejects_a_zero_row():
+    with pytest.raises(ValueError):
+        normalize_rows(np.zeros(3))
+    arr = np.ones((3, 4, 2))
+    arr[1, 2] = 0.0
+    with pytest.raises(ValueError):
+        normalize_rows(arr)
 
 
 def test_sample_uniform_statistics():

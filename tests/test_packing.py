@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -144,6 +145,63 @@ def test_canonical_signs():
     pts = packing.canonicalize_signs(np.array([[-1.0, 0.2, 0.0], [0.0, -0.5, 0.8]]))
     assert pts[0, 0] > 0
     assert pts[1, 1] > 0
+
+
+# Pinned bytes of six small optimizations: a change to the ascent or polish
+# arithmetic that moves a packing fails here instead of passing as a
+# different, equally plausible packing.
+@pytest.mark.parametrize(
+    "n, m, rng, min_dist_hex, points_sha256",
+    [
+        (1, 5, RngStream(0), "0x1.41b2f769cf0dep-1",
+         "9d3ed01966086ff08488bc830e5ebb017e1c87bde0fa395aaf46bbdb9f446ec6"),
+        (1, 8, RngStream(3), "0x1.921fb54442d0ep-2",
+         "713e59b529639b891220cfdc29206fdc9180b1cf5e27f92c75ce98d6261c8506"),
+        (2, 6, RngStream(0), "0x1.1b6c457fc35cep+0",
+         "7dfaf827e311c525667666edde27570515525e67dadcb5c0c72b80166abb5002"),
+        (2, 9, RngStream(7, (2,)), "0x1.ac82a57ac73d4p-1",
+         "8447f5553b2d473f3e5bd98af43cc4310edb927e2acbc4e9b94428c7bfdfa29f"),
+        (3, 7, RngStream(23), "0x1.2b6f2ad22eef2p+0",
+         "09aabfc11e81e30ffa69686fb6e04144de7810b479a3ea80e64c083c5a2df405"),
+        (3, 10, RngStream(5), "0x1.1f1bd6f6c615ep+0",
+         "1ea48be8368e2fcdbda81f2a04c6f85d66f2d95cff953042ae54402003750f87"),
+    ],
+)
+def test_packing_bytes_are_pinned(n, m, rng, min_dist_hex, points_sha256):
+    result = optimize_packing(n, m, FAST, rng)
+    assert result.min_dist.hex() == min_dist_hex
+    assert hashlib.sha256(result.points.tobytes()).hexdigest() == points_sha256
+
+
+def canonicalize_signs_loop(points):
+    # the per-element loop canonicalize_signs replaced, kept as its reference
+    pts = np.array(points, dtype=float)
+    for row in pts:
+        for c in row:
+            if abs(c) > 1e-12:
+                if c < 0:
+                    row *= -1.0
+                break
+    return pts
+
+
+def test_canonical_signs_match_the_element_loop():
+    gen = np.random.default_rng(3)
+    cases = [gen.normal(size=(40, 4)), gen.normal(size=(7, 2))]
+    tiny = gen.normal(size=(60, 5))
+    tiny[:, :2] = gen.choice([0.0, -0.0, 1e-12, -1e-12, 5e-13, -5e-13, 2e-12, -2e-12], size=(60, 2))
+    cases.append(tiny)
+    cases.append(np.array([[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-1e-12, 1e-12, -0.0], [-0.0, -3.0, 2.0]]))
+    for pts in cases:
+        got, want = packing.canonicalize_signs(pts), canonicalize_signs_loop(pts)
+        assert got.tobytes() == want.tobytes()
+        assert got is not pts
+    # optimize_packing canonicalizes a whole (R, m, n+1) stack in one pass
+    stack = gen.normal(size=(5, 6, 3))
+    stack[:, :, 0] *= gen.random(size=(5, 6)) < 0.5
+    got = packing.canonicalize_signs(stack)
+    for r in range(5):
+        assert got[r].tobytes() == canonicalize_signs_loop(stack[r]).tobytes()
 
 
 def test_packing_monotone_in_m():
