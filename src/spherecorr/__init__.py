@@ -37,6 +37,7 @@ from .odd_corr import (
     ordered_cells_of,
 )
 from .packing import (
+    PackingBudget,
     PackingResult,
     PackingStore,
     asymptotic_table,

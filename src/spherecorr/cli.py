@@ -3,8 +3,9 @@
 Subcommands: ``bound`` (closed-form bound tables), ``distortion`` (empirical
 distortion runs), ``packing`` (projective packing optimization), ``verify``
 (the numeric invariant suite), and ``table`` (packing-driven asymptotic
-rows).  Output is deterministic JSON lines or CSV: identical flags plus seed
-reproduce identical bytes at any worker count.
+rows).  For ``packing`` and ``table``, ``--samples`` counts soft-ascent steps
+and ``--refine-iters`` polish steps.  Output is deterministic JSON lines or
+CSV: identical flags plus seed reproduce identical bytes at any worker count.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -60,14 +61,6 @@ def _emit(rows: list[dict], fmt: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _budget(args) -> SearchBudget:
-    return SearchBudget(
-        samples=args.samples,
-        refine_iters=args.refine_iters,
-        restarts=args.restarts,
-    )
-
-
 def _bound_rows(n: int, k_values: list[int]) -> list[dict]:
     rows = []
     for k in k_values:
@@ -118,7 +111,8 @@ def cmd_distortion(args) -> int:
         bound = rpq_bound(corr, np.pi / (k + 1), pointsets.cross_polytope_vdiam_exact(k))
     else:
         raise ValueError(f"unknown correspondence selector {args.corr!r}")
-    report = estimate_distortion(corr, _budget(args), rng, bound=bound, threads=args.threads)
+    budget = SearchBudget(args.samples, args.refine_iters, args.restarts)
+    report = estimate_distortion(corr, budget, rng, bound=bound, threads=args.threads)
     _emit([report.to_json_dict()], args.format, args.out)
     return 0
 
@@ -127,13 +121,13 @@ def cmd_packing(args) -> int:
     k = _single_k(args.k)
     if args.n < 1 or k <= args.n:
         raise ValueError("packing needs 1 <= n < k")
-    budget = _budget(args)
+    budget = packing.PackingBudget(args.samples, args.refine_iters, args.restarts)
     store = packing.PackingStore()
     m = k + 1
     rng = RngStream(args.seed)
     result = store.load(args.n, m, budget, rng)
     if result is None:
-        result = packing.optimize_packing(args.n, m, budget, rng, args.threads)
+        result = packing.optimize_packing(args.n, m, budget, rng)
         store.save(args.n, m, budget, rng, result)
     row = result.to_json_dict()
     row.update({"n": args.n, "m": m, "min_dist_over_pi": result.min_dist / np.pi})
@@ -160,10 +154,9 @@ def cmd_table(args) -> int:
     rows = packing.asymptotic_table(
         args.n,
         k_values,
-        budget=_budget(args),
+        budget=packing.PackingBudget(args.samples, args.refine_iters, args.restarts),
         rng=RngStream(args.seed),
         store=store,
-        threads=args.threads,
     )
     slim = [{key: row[key] for key in ("k", "bound", "gap", "gap_sqrtk")} for row in rows]
     _emit(slim, args.format, args.out)

@@ -27,23 +27,22 @@ from .parallel import SHARD_SIZE, run_shards, shard_sizes
 from .rng import RngStream
 
 
+# First step of the phase B climb, and its shrink factor after a rejected move.
+REFINE_STEP = np.pi / 16
+REFINE_DECAY = 0.9
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Knobs for the stochastic search: sampling plus local refinement."""
 
     samples: int = 1_000_000
     refine_iters: int = 200
-    initial_step: float = np.pi / 16
-    decay: float = 0.9
     restarts: int = 8
 
     def __post_init__(self):
         if self.samples < 1 or self.refine_iters < 0 or self.restarts < 1:
             raise ValueError("budget fields must be positive (refine_iters may be 0)")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
-        if not 0.0 < self.decay < 1.0:
-            raise ValueError("decay must lie in (0, 1)")
 
 
 @dataclass
@@ -222,8 +221,6 @@ def refine_pair(
     corr: Correspondence,
     pair: tuple[RelationElement, RelationElement],
     iters: int,
-    step: float = np.pi / 16,
-    decay: float = 0.9,
     rng: RngStream = RngStream(0),
 ) -> tuple[tuple[RelationElement, RelationElement], float]:
     """Hill-climb a pair of relation elements to larger objective value.
@@ -240,11 +237,11 @@ def refine_pair(
     if iters == 0:
         return (e1, e2), pair_objective(corr, e1, e2)
     first, second = ElementBatch.of([e1]), ElementBatch.of([e2])
-    value = _climb_pairs(corr, first, second, iters, step, decay, [rng])[0]
+    value = _climb_pairs(corr, first, second, iters, [rng])[0]
     return (first.element(0, corr), second.element(0, corr)), float(value)
 
 
-def _climb_pairs(corr, first: ElementBatch, second: ElementBatch, iters, step, decay, rngs) -> np.ndarray:
+def _climb_pairs(corr, first: ElementBatch, second: ElementBatch, iters, rngs) -> np.ndarray:
     """Hill-climb the pairs (first[i], second[i]) in place; returns their objectives.
 
     The elements alternate as mover.  Proposals: a random direction, then
@@ -293,7 +290,7 @@ def _climb_pairs(corr, first: ElementBatch, second: ElementBatch, iters, step, d
         return owner, _objectives(corr, found, kept), moved[0].columns + moved[1].columns
 
     state = first.columns + second.columns
-    return geometry.hill_climb(state, values, iters, step, np.pi / 4, decay, propose)
+    return geometry.hill_climb(state, values, iters, REFINE_STEP, np.pi / 4, REFINE_DECAY, propose)
 
 
 def _objectives(corr: Correspondence, first: ElementBatch, second: ElementBatch) -> np.ndarray:
@@ -386,9 +383,7 @@ def estimate_distortion(
         for index, (_, cands, _) in enumerate(results)
         for j in range(sum(len(c[0].strata) for c in cands))
     ]
-    values = _climb_pairs(
-        corr, first, second, budget.refine_iters, budget.initial_step, budget.decay, streams
-    )
+    values = _climb_pairs(corr, first, second, budget.refine_iters, streams)
     np.maximum.at(merged, _stratum_pair_key(ns, first.strata, second.strata), values)
 
     # Largest value; ties go to the smallest witness key.

@@ -26,7 +26,7 @@ from .distortion import Correspondence, ElementBatch
 from .geometry import CircleAngle, UnitVector, circle_distance, reduce_angle
 from .rng import RngStream
 
-DEFAULT_TOL = 1e-9
+CELL_TOL = 1e-9
 
 
 def _check_k(k: int):
@@ -121,27 +121,27 @@ class CircleInterval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, angle, tol: float = DEFAULT_TOL) -> bool:
+    def contains(self, angle) -> bool:
         theta = angle.theta if isinstance(angle, CircleAngle) else float(angle)
         delta = reduce_angle(theta - self.lo)
-        return delta <= self.width + tol or delta >= 2 * np.pi - tol
+        return delta <= self.width + CELL_TOL or delta >= 2 * np.pi - CELL_TOL
 
 
-def ordered_cells_of(k: int, x: UnitVector, tol: float = DEFAULT_TOL) -> list[int]:
+def ordered_cells_of(k: int, x: UnitVector) -> list[int]:
     """All ordered cells containing x: sign matches and |x_axis| is maximal."""
     _check_k(k)
     if x.dim != k:
         raise ValueError(f"point lives on S^{x.dim}, expected S^{k}")
-    return [int(m) for m in _cells_of_coords(k, x.coords, tol)]
+    return [int(m) for m in _cells_of_coords(k, x.coords, CELL_TOL)]
 
 
-def cell_angle(k: int, m: int, x: UnitVector, tol: float = DEFAULT_TOL) -> CircleAngle:
+def cell_angle(k: int, m: int, x: UnitVector) -> CircleAngle:
     """Image angle of a point of ordered cell m; errors if x is outside m."""
     _check_k(k)
     if x.dim != k:
         raise ValueError(f"point lives on S^{x.dim}, expected S^{k}")
-    if m not in _cells_of_coords(k, x.coords, tol):
-        raise ValueError(f"point is not in ordered cell {m} within tolerance {tol}")
+    if m not in _cells_of_coords(k, x.coords, CELL_TOL):
+        raise ValueError(f"point is not in ordered cell {m} within tolerance {CELL_TOL}")
     return CircleAngle(float(cell_angles_many(k, x.coords[None, :], np.array([m]))[0]))
 
 
@@ -175,9 +175,9 @@ def principal_cells_many(k: int, xs: np.ndarray) -> np.ndarray:
     return np.where(sign == parity, axis + 1, axis + 1 + (k + 1))
 
 
-def circle_correspondents(k: int, x: UnitVector, tol: float = DEFAULT_TOL) -> list[CircleAngle]:
+def circle_correspondents(k: int, x: UnitVector) -> list[CircleAngle]:
     """All circle angles related to x, one per containing ordered cell."""
-    return [cell_angle(k, m, x, tol) for m in ordered_cells_of(k, x, tol)]
+    return [cell_angle(k, m, x) for m in ordered_cells_of(k, x)]
 
 
 def cyclic_shift(k: int, n: int, x: UnitVector) -> UnitVector:
@@ -303,7 +303,7 @@ class OddCircleCorrespondence(Correspondence):
 
     def variants_many(self, side, frees):
         frees = np.asarray(frees, dtype=float)
-        owner, cells = np.nonzero(_cell_mask(self.k, frees, DEFAULT_TOL))
+        owner, cells = np.nonzero(_cell_mask(self.k, frees, CELL_TOL))
         axes, _ = _cell_tables(self.k)
         xs = frees[owner]
         edges = np.abs(xs[np.arange(len(cells)), axes[cells]])

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, serialize
-from .distortion import SearchBudget
 from .pointsets import arc_rows, covering_radius, cross_polytope_vdiam_exact
 from .rng import RngStream
 
@@ -30,14 +29,27 @@ BETA_SCHEDULE = (8.0, 32.0, 128.0, 512.0)
 CACHE_ENV = "SPHERECORR_CACHE"
 
 # Version of the PackingStore key and entry layout; bump it when either changes.
-STORE_FORMAT = 2
+STORE_FORMAT = 3
 
 # Largest deviation from unit length a cached row may show.
 UNIT_NORM_TOL = 1e-12
 
-DEFAULT_PACKING_BUDGET = SearchBudget(
-    samples=1600, refine_iters=400, initial_step=0.08, decay=0.9, restarts=16
-)
+# First step of the soft ascent and of the polish; the polish's decay on a rejected move.
+STEP = 0.08
+POLISH_DECAY = 0.9
+
+
+@dataclass(frozen=True)
+class PackingBudget:
+    """Work per packing: soft-ascent steps, polish steps, restarts."""
+
+    ascent_steps: int = 1600
+    polish_steps: int = 400
+    restarts: int = 16
+
+    def __post_init__(self):
+        if self.ascent_steps < 1 or self.polish_steps < 0 or self.restarts < 1:
+            raise ValueError("budget fields must be positive (polish_steps may be 0)")
 
 
 def projective_gram(points: np.ndarray) -> np.ndarray:
@@ -107,7 +119,7 @@ class PackingResult:
 # Optimizer
 # ---------------------------------------------------------------------------
 
-def _soft_ascent(x: np.ndarray, iters_per_beta: int, step0: float) -> np.ndarray:
+def _soft_ascent(x: np.ndarray, iters_per_beta: int) -> np.ndarray:
     """Ascend the soft-min energy of every restart through the sharpening schedule.
 
     ``x`` is an (R, m, n+1) stack of starts.  The nearest pair of a restart
@@ -116,7 +128,7 @@ def _soft_ascent(x: np.ndarray, iters_per_beta: int, step0: float) -> np.ndarray
     """
     count, m = x.shape[:2]
     for beta in BETA_SCHEDULE:
-        step = step0
+        step = STEP
         shrink = (1e-2) ** (1.0 / max(iters_per_beta, 1))
         live = np.ones(count, dtype=bool)
         for _ in range(iters_per_beta):
@@ -162,7 +174,7 @@ def _circle_polish(x: np.ndarray, iters: int) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
-def _polish(x: np.ndarray, iters: int, step0: float, decay: float) -> tuple[np.ndarray, np.ndarray]:
+def _polish(x: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Greedy max-min polish of every restart in an (R, m, n+1) stack.
 
     Only the pairs realizing a restart's minimum are pushed apart.  Returns
@@ -174,7 +186,7 @@ def _polish(x: np.ndarray, iters: int, step0: float, decay: float) -> tuple[np.n
     gram = x @ x.transpose(0, 2, 1)
     d = _gram_distances(gram)
     best = d.min(axis=(1, 2))
-    step = np.full(count, step0)
+    step = np.full(count, STEP)
     used = np.zeros(count, dtype=int)
     run = np.ones(count, dtype=bool)
     for it in range(iters):
@@ -196,7 +208,7 @@ def _polish(x: np.ndarray, iters: int, step0: float, decay: float) -> tuple[np.n
         x[better], best[better] = trial[better], val[better]
         # bitwise what x @ x.T gives next time: the batched matmul works per restart
         gram[better], d[better] = trial_gram[better], trial_d[better]
-        step = np.where(better, np.minimum(step * 1.2, 0.3), np.where(run, step * decay, step))
+        step = np.where(better, np.minimum(step * 1.2, 0.3), np.where(run, step * POLISH_DECAY, step))
         run &= better | (step >= 1e-13)
     return x, used
 
@@ -204,9 +216,8 @@ def _polish(x: np.ndarray, iters: int, step0: float, decay: float) -> tuple[np.n
 def optimize_packing(
     n: int,
     m: int,
-    budget: SearchBudget | None = None,
+    budget: PackingBudget = PackingBudget(),
     rng: RngStream = RngStream(0),
-    threads: int | None = None,
 ) -> PackingResult:
     """Maximize the minimum pairwise projective distance of m points in RP^n.
 
@@ -214,22 +225,19 @@ def optimize_packing(
     configurations drawn from ``rng.child(i)``), ascended and polished
     together as one (restarts, m, n+1) batch; keeps the best.  ``min_dist``
     of the result is re-verified directly from the returned points.
-    ``threads`` is accepted for signature compatibility and does not affect
-    the work or the result.
     """
     if n < 1:
         raise ValueError("projective dimension must be >= 1")
     if m < 2:
         raise ValueError("need at least two points to pack")
-    budget = DEFAULT_PACKING_BUDGET if budget is None else budget
-    iters_per_beta = max(1, budget.samples // len(BETA_SCHEDULE))
+    iters_per_beta = max(1, budget.ascent_steps // len(BETA_SCHEDULE))
     starts = [arc_rows(n, m)] + [
         geometry.sample_uniform_many(n, m, rng.child(i)) for i in range(1, budget.restarts)
     ]
-    x = _soft_ascent(np.stack(starts), iters_per_beta, budget.initial_step)
+    x = _soft_ascent(np.stack(starts), iters_per_beta)
     if n == 1:
-        x = _circle_polish(x, budget.refine_iters)
-    x, used = _polish(x, budget.refine_iters, budget.initial_step, budget.decay)
+        x = _circle_polish(x, budget.polish_steps)
+    x, used = _polish(x, budget.polish_steps)
     best_val, best_x, best_iters = -1.0, None, 0
     for points, steps in zip(canonicalize_signs(geometry.normalize_rows(x)), used):
         val = min_pair_distance(points)
@@ -342,14 +350,12 @@ class PackingStore:
             root = os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "spherecorr"
         self.root = Path(root)
 
-    def _path(self, n: int, m: int, budget: SearchBudget, rng: RngStream) -> Path:
+    def _path(self, n: int, m: int, budget: PackingBudget, rng: RngStream) -> Path:
         blob = serialize.dumps(
             {
                 "format": STORE_FORMAT,
-                "samples": budget.samples,
-                "refine_iters": budget.refine_iters,
-                "initial_step": budget.initial_step,
-                "decay": budget.decay,
+                "ascent_steps": budget.ascent_steps,
+                "polish_steps": budget.polish_steps,
                 "restarts": budget.restarts,
                 "seed": rng.seed,
                 "stream": list(rng.stream),
@@ -358,7 +364,7 @@ class PackingStore:
         digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
         return self.root / f"pack_n{n}_m{m}_{digest}.json"
 
-    def load(self, n: int, m: int, budget: SearchBudget, rng: RngStream) -> PackingResult | None:
+    def load(self, n: int, m: int, budget: PackingBudget, rng: RngStream) -> PackingResult | None:
         try:
             data = json.loads(self._path(n, m, budget, rng).read_text())
             if data["n"] != n or data["m"] != m:
@@ -373,7 +379,7 @@ class PackingStore:
             return None
         return result
 
-    def save(self, n: int, m: int, budget: SearchBudget, rng: RngStream, result: PackingResult):
+    def save(self, n: int, m: int, budget: PackingBudget, rng: RngStream, result: PackingResult):
         self.root.mkdir(parents=True, exist_ok=True)
         path = self._path(n, m, budget, rng)
         entry = dict(result.to_json_dict(), n=n, m=m)
@@ -392,10 +398,9 @@ class PackingStore:
 def asymptotic_table(
     n: int,
     k_values,
-    budget: SearchBudget | None = None,
+    budget: PackingBudget = PackingBudget(),
     rng: RngStream = RngStream(0),
     store: PackingStore | None = None,
-    threads: int | None = None,
 ) -> list[dict]:
     """Rows (k, bound, gap, gap*sqrt(k)) using packing-improved bounds.
 
@@ -404,7 +409,6 @@ def asymptotic_table(
     """
     if n < 2:
         raise ValueError("the table needs n >= 2")
-    budget = DEFAULT_PACKING_BUDGET if budget is None else budget
     rows = []
     for k in k_values:
         if k <= n:
@@ -413,7 +417,7 @@ def asymptotic_table(
         stream = rng.child(int(k))
         result = store.load(n, m, budget, stream) if store is not None else None
         if result is None:
-            result = optimize_packing(n, m, budget, stream, threads)
+            result = optimize_packing(n, m, budget, stream)
             if store is not None:
                 store.save(n, m, budget, stream, result)
         bound, _ = best_bound(n, k, result.min_dist)

@@ -23,7 +23,7 @@ from .rng import RngStream
 
 # Cell membership uses a positive tolerance so that boundary points (ties
 # between sites) are reported as members of every tied cell.
-DEFAULT_CELL_TOL = 1e-9
+CELL_TOL = 1e-9
 
 # Construction-time guard against coincident points.
 COINCIDENCE_TOL = 1e-9
@@ -251,19 +251,17 @@ def hausdorff_to_sphere_estimate(aset: AntipodalSet) -> float:
     return covering_radius(aset.reps)
 
 
-def cell_mask(aset: AntipodalSet, xs: np.ndarray, tol: float = DEFAULT_CELL_TOL) -> np.ndarray:
-    """(rows, 2m) mask of the cells whose site distance is within ``tol`` of each row's minimum."""
+def cell_mask(aset: AntipodalSet, xs: np.ndarray) -> np.ndarray:
+    """(rows, 2m) mask of the cells whose site distance is within ``CELL_TOL`` of each row's minimum."""
     dists = aset.site_distances(xs)
-    return dists <= dists.min(axis=1, keepdims=True) + tol
+    return dists <= dists.min(axis=1, keepdims=True) + CELL_TOL
 
 
-def voronoi_cells_of(aset: AntipodalSet, x: UnitVector, tol: float = DEFAULT_CELL_TOL) -> list[CellIndex]:
-    """All cells whose site distance is within ``tol`` of the minimum."""
+def voronoi_cells_of(aset: AntipodalSet, x: UnitVector) -> list[CellIndex]:
+    """All cells whose site distance is within ``CELL_TOL`` of the minimum."""
     if x.dim != aset.dim:
         raise ValueError(f"dimension mismatch: point on S^{x.dim}, set on S^{aset.dim}")
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    hits = np.flatnonzero(cell_mask(aset, x.coords[None], tol))
+    hits = np.flatnonzero(cell_mask(aset, x.coords[None]))
     return [CellIndex.from_linear(int(i) + 1, aset.m) for i in hits]
 
 
@@ -272,15 +270,14 @@ def sample_in_cell(
     linear: int,
     count: int,
     rng: RngStream,
-    max_batches: int = 200,
 ) -> np.ndarray:
-    """Uniform samples from one Voronoi cell, by rejection from the sphere."""
+    """Uniform samples from one Voronoi cell, by rejection from the sphere in at most 200 batches."""
     if not 1 <= linear <= 2 * aset.m:
         raise ValueError(f"linear cell index {linear} out of range")
     out: list[np.ndarray] = []
     have = 0
     gen_stream = rng.child(linear)
-    for batch in range(max_batches):
+    for batch in range(200):
         draw = geometry.sample_uniform_many(
             aset.dim, max(count * aset.m, 64), gen_stream.child(batch)
         )

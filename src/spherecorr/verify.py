@@ -3,7 +3,8 @@
 Each invariant check returns a record with the observed worst violation and a
 witness, emitted by the CLI as one JSON line per invariant.  Budgets scale
 with the ``samples`` argument so the same checks serve quick smoke runs and
-long verification sweeps.
+long verification sweeps.  An invariant that the acceptance suite checks too
+comes from one function here, which both call.
 """
 
 from __future__ import annotations
@@ -126,36 +127,48 @@ def check_geometry(samples: int, rng: RngStream) -> list[InvariantResult]:
 # pointsets
 # ---------------------------------------------------------------------------
 
+def cross_cell_diameter_gaps() -> tuple[float, float]:
+    """(max of vdiam - (k-1)pi/k over 3 <= k <= 1000, |vdiam - 2pi/3| at k = 3) of the cross-polytope."""
+    excess = max(pointsets.cross_polytope_vdiam_exact(k) - (k - 1) * np.pi / k for k in range(3, 1001))
+    return excess, abs(pointsets.cross_polytope_vdiam_exact(3) - 2 * np.pi / 3)
+
+
+def arc_set_sweep():
+    """(n, k, set, pi/(k-n+3) - separation, |#points - 2(k+1)|) of each arc set with 2 <= n < k <= 30."""
+    for n in range(2, 30):
+        for k in range(n + 1, 31):
+            aset = pointsets.arc_augmented_set(n, k)
+            count_err = float(abs(aset.points().shape[0] - 2 * (k + 1)))
+            yield n, k, aset, np.pi / (k - n + 3) - pointsets.separation(aset), count_err
+
+
+def cross_vdiam_error(k: int, value: float) -> float:
+    """Distance of a sampled cross-polytope Voronoi diameter from its closed form."""
+    return abs(value - pointsets.cross_polytope_vdiam_exact(k))
+
+
 def check_pointsets(samples: int, rng: RngStream, threads=None) -> list[InvariantResult]:
     out = []
-    ks = np.arange(3, 1001)
-    lhs = np.arccos(-(ks - 1.0) / (ks + 1.0))
-    rhs = (ks - 1.0) * np.pi / ks
+    excess, k3_gap = cross_cell_diameter_gaps()
     out.append(
         _result(
-            "cross-cell-diameter-inequality", "pointsets",
-            float(np.max(lhs - rhs)), 1e-12,
+            "cross-cell-diameter-inequality", "pointsets", excess, 1e-12,
             "cell diameter <= (k-1)pi/k for 3 <= k <= 1000",
         )
     )
     out.append(
         _result(
-            "cross-cell-diameter-equality-k3", "pointsets",
-            abs(pointsets.cross_polytope_vdiam_exact(3) - 2 * np.pi / 3), 1e-12,
+            "cross-cell-diameter-equality-k3", "pointsets", k3_gap, 1e-12,
             "equality holds at k = 3",
         )
     )
 
     worst = 0.0
     worst_cfg = {}
-    for n in range(2, 30):
-        for k in range(n + 1, 31):
-            aset = pointsets.arc_augmented_set(n, k)
-            gap = np.pi / (k - n + 3) - pointsets.separation(aset)
-            count_err = abs(aset.points().shape[0] - 2 * (k + 1))
-            v = max(gap, float(count_err))
-            if v > worst:
-                worst, worst_cfg = v, {"n": n, "k": k}
+    for n, k, _, sep_deficit, count_err in arc_set_sweep():
+        v = max(sep_deficit, count_err)
+        if v > worst:
+            worst, worst_cfg = v, {"n": n, "k": k}
     out.append(
         _result(
             "arc-set-separation-sweep", "pointsets",
@@ -200,7 +213,7 @@ def check_pointsets(samples: int, rng: RngStream, threads=None) -> list[Invarian
             pointsets.cross_polytope_set(k), max(20000, samples), 200,
             rng.child(10 + k), threads=threads,
         )
-        worst = max(worst, abs(est - pointsets.cross_polytope_vdiam_exact(k)))
+        worst = max(worst, cross_vdiam_error(k, est))
     out.append(
         _result(
             "cross-vdiam-estimate", "pointsets", worst, 0.01,
@@ -409,34 +422,51 @@ def distance_decrease_violations(k: int, count: int, rng: RngStream) -> tuple[in
     return bad, closest
 
 
+# The worked example at k = 3: a corner where four ordered cells meet, and the
+# circle correspondents of it and of its antipode, in units of pi/24.
+CORNER_K3 = (((0.5, -0.5, 0.5, 0.5), (-1, 7, 11, 43)), ((-0.5, 0.5, -0.5, -0.5), (19, 23, 31, 35)))
+
+
+def corner_correspondent_error(coords, twenty_fourths) -> float:
+    """Worst circle distance from the k = 3 correspondents of ``coords`` to the expected angles."""
+    got = sorted(a.theta for a in odd_corr.circle_correspondents(3, UnitVector(coords)))
+    want = sorted(t * np.pi / 24 % (2 * np.pi) for t in twenty_fourths)
+    return max(map(geometry.circle_distance, got, want)) if len(got) == len(want) else np.inf
+
+
+def odd_witness_error(k: int) -> float:
+    """Distance of the boundary witness's objective from (k-1)pi/k."""
+    _, value = odd_corr.max_distortion_witness(k)
+    return abs(value - (k - 1) * np.pi / k)
+
+
+def odd_window_violation(k: int, estimate: float) -> float:
+    """How far ``estimate`` lies outside [(k-1)pi/k - 0.02, (k-1)pi/k + 1e-6]; <= 0 inside."""
+    target = (k - 1) * np.pi / k
+    return max(target - 0.02 - estimate, estimate - target - 1e-6)
+
+
+def cell_pair_objectives(k: int, i: int, j: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """|circle distance - sphere distance| of the pairs ((xs[r], cell i), (zs[r], cell j))."""
+    angles = [cell_angles_many(k, pts, np.full(len(pts), m)) for pts, m in ((xs, i), (zs, j))]
+    return np.abs(geometry.circle_distance_many(*angles) - geometry.geodesic_many(xs, zs))
+
+
 def check_odd(k_values, samples: int, rng: RngStream, threads=None) -> list[InvariantResult]:
     out = []
     for k in k_values:
         if k % 2 == 0 or k < 3:
             raise ValueError(f"odd scope needs odd k >= 3, got {k}")
-    scope_rng = rng
 
-    # Worked example at k = 3: corner correspondents take their known values.
     if 3 in k_values:
-        x = UnitVector([0.5, -0.5, 0.5, 0.5])
-        cells = odd_corr.ordered_cells_of(3, x)
-        expect_cells = [1, 2, 3, 8]
-        got = sorted(a.theta for a in odd_corr.circle_correspondents(3, x))
-        expect = sorted(
-            t % (2 * np.pi) for t in (-np.pi / 24, 7 * np.pi / 24, 11 * np.pi / 24, 43 * np.pi / 24)
-        )
-        err = max(abs(a - b) for a, b in zip(got, expect)) if cells == expect_cells else np.inf
         out.append(
             _result(
-                "corner-correspondents-k3", "odd", err, 1e-12,
+                "corner-correspondents-k3", "odd", corner_correspondent_error(*CORNER_K3[0]), 1e-12,
                 "the (1/2, -1/2, 1/2, 1/2) corner maps to its four known angles",
             )
         )
 
-    worst = 0.0
-    for k in k_values:
-        _, value = odd_corr.max_distortion_witness(k)
-        worst = max(worst, abs(value - (k - 1) * np.pi / k))
+    worst = max(odd_witness_error(k) for k in k_values)
     out.append(
         _result(
             "witness-value", "odd", worst, 1e-12,
@@ -445,14 +475,14 @@ def check_odd(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
     )
 
     count = max(5000, samples)
-    worst_cyc = max(cyclic_shift_violation(k, count, scope_rng.child(30 + k)) for k in k_values)
+    worst_cyc = max(cyclic_shift_violation(k, count, rng.child(30 + k)) for k in k_values)
     out.append(
         _result(
             "cyclic-shift-relation", "odd", worst_cyc, 1e-12,
             "angle(m+n, A_n x) == angle(m, x) + n pi/(k+1) (mod 2 pi)",
         )
     )
-    worst_z2 = max(z2_violation(k, count, scope_rng.child(60 + k)) for k in k_values)
+    worst_z2 = max(z2_violation(k, count, rng.child(60 + k)) for k in k_values)
     out.append(
         _result(
             "antipodal-shift-relation", "odd", worst_z2, 1e-12,
@@ -462,7 +492,7 @@ def check_odd(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
 
     worst_bad = 0
     for k in k_values:
-        bad, _ = distance_decrease_violations(k, count, scope_rng.child(90 + k))
+        bad, _ = distance_decrease_violations(k, count, rng.child(90 + k))
         worst_bad = max(worst_bad, bad)
     out.append(
         _result(
@@ -474,7 +504,7 @@ def check_odd(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
     # Image confinement: angles land in the matching interval.
     worst_conf = 0.0
     for k in k_values:
-        xs = geometry.sample_uniform_many(k, count, scope_rng.child(120 + k))
+        xs = geometry.sample_uniform_many(k, count, rng.child(120 + k))
         ms = odd_corr.principal_cells_many(k, xs)
         angles = cell_angles_many(k, xs, ms)
         for m in range(1, 2 * k + 3):
@@ -496,7 +526,7 @@ def check_odd(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
     worst_sq = 0.0
     worst_simple = 0.0
     for k in k_values:
-        gen_rng = scope_rng.child(150 + k)
+        gen_rng = rng.child(150 + k)
         xs = odd_corr.sample_in_ordered_cell_many(k, 1, count, gen_rng.child(0))
         for idx, j in enumerate((k, k + 1)):
             zs = odd_corr.sample_in_ordered_cell_many(k, j, count, gen_rng.child(1 + idx))
@@ -532,7 +562,7 @@ def check_odd(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
     for k in k_values:
         probe = max(2000, samples // 10)
         for (i, j) in odd_corr.case_reduction_pairs(k):
-            b_rng = scope_rng.child(200 + k, i, j)
+            b_rng = rng.child(200 + k, i, j)
             others_i = [m for m in range(1, 2 * k + 3) if odd_corr.compatible_boundary(k, i, m)]
             others_j = [m for m in range(1, 2 * k + 3) if odd_corr.compatible_boundary(k, j, m)]
             xs = np.vstack([
@@ -543,22 +573,10 @@ def check_odd(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
                 odd_corr.sample_cell_boundary_many(k, j, int(mm), probe // len(others_j) + 1, b_rng.child(2, t))
                 for t, mm in enumerate(others_j)
             ])[:probe]
-            d_bnd = np.abs(
-                geometry.circle_distance_many(
-                    cell_angles_many(k, xs, np.full(len(xs), i)),
-                    cell_angles_many(k, zs, np.full(len(zs), j)),
-                )
-                - geometry.geodesic_many(xs, zs)
-            )
+            d_bnd = cell_pair_objectives(k, i, j, xs, zs)
             xi = odd_corr.sample_in_ordered_cell_many(k, i, probe, b_rng.child(3))
             zi = odd_corr.sample_in_ordered_cell_many(k, j, probe, b_rng.child(4))
-            d_int = np.abs(
-                geometry.circle_distance_many(
-                    cell_angles_many(k, xi, np.full(probe, i)),
-                    cell_angles_many(k, zi, np.full(probe, j)),
-                )
-                - geometry.geodesic_many(xi, zi)
-            )
+            d_int = cell_pair_objectives(k, i, j, xi, zi)
             worst_gap = max(worst_gap, float(np.max(d_int) - np.max(d_bnd)))
     out.append(
         _result(
@@ -568,22 +586,19 @@ def check_odd(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
     )
 
     # Global distortion window, concentrated on the reduced case pairs.
-    worst_lo, worst_hi = 0.0, 0.0
+    worst = 0.0
     for k in k_values:
-        corr = OddCircleCorrespondence(k)
-        target = (k - 1) * np.pi / k
         rep = estimate_distortion(
-            corr,
+            OddCircleCorrespondence(k),
             SearchBudget(samples=max(30000, samples), refine_iters=80),
-            scope_rng.child(250 + k),
-            bound=target,
+            rng.child(250 + k),
+            bound=(k - 1) * np.pi / k,
             threads=threads,
         )
-        worst_lo = max(worst_lo, target - 0.02 - rep.estimate)
-        worst_hi = max(worst_hi, rep.estimate - target - 1e-6)
+        worst = max(worst, odd_window_violation(k, rep.estimate))
     out.append(
         _result(
-            "global-distortion-window", "odd", max(worst_lo, worst_hi, 0.0), 0.0,
+            "global-distortion-window", "odd", worst, 0.0,
             "estimates fall in [(k-1)pi/k - 0.02, (k-1)pi/k + 1e-6]",
         )
     )
@@ -594,30 +609,26 @@ def check_odd(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
 # packing
 # ---------------------------------------------------------------------------
 
-def check_packing(rng: RngStream, threads=None) -> list[InvariantResult]:
+# Packings of m lines in RP^n with a known optimum: (n, m) -> (min distance, tolerance).
+PACKING_ANCHORS = {
+    (1, 5): (np.pi / 5, 1e-4),
+    (2, 2): (np.pi / 2, 1e-6),
+    (2, 3): (np.pi / 2, 1e-6),
+    (2, 4): (np.arccos(1 / 3), 1e-3),
+}
+
+
+def check_packing(rng: RngStream) -> list[InvariantResult]:
     out = []
-    budget = SearchBudget(samples=1200, refine_iters=300, initial_step=0.08, decay=0.9, restarts=12)
-    r15 = packing.optimize_packing(1, 5, budget, rng.child(0), threads)
-    out.append(
-        _result(
-            "circle-five-lines", "packing", abs(r15.min_dist - np.pi / 5), 1e-4,
-            "five projective points on the circle pack at pi/5",
-        )
-    )
-    r23 = packing.optimize_packing(2, 3, budget, rng.child(1), threads)
-    out.append(
-        _result(
-            "orthogonal-lines", "packing", abs(r23.min_dist - np.pi / 2), 1e-6,
-            "m <= n+1 lines reach the projective diameter",
-        )
-    )
-    r24 = packing.optimize_packing(2, 4, budget, rng.child(2), threads)
-    out.append(
-        _result(
-            "four-lines-plane", "packing", abs(r24.min_dist - np.arccos(1 / 3)), 1e-3,
-            "four lines in RP^2 pack at arccos(1/3)",
-        )
-    )
+    budget = packing.PackingBudget(1200, 300, 12)
+    for child, (n, m, name, detail) in enumerate((
+        (1, 5, "circle-five-lines", "five projective points on the circle pack at pi/5"),
+        (2, 3, "orthogonal-lines", "m <= n+1 lines reach the projective diameter"),
+        (2, 4, "four-lines-plane", "four lines in RP^2 pack at arccos(1/3)"),
+    )):
+        target, tol = PACKING_ANCHORS[n, m]
+        result = packing.optimize_packing(n, m, budget, rng.child(child))
+        out.append(_result(name, "packing", abs(result.min_dist - target), tol, detail))
     cov = packing.covering_radius_estimate(np.eye(3))
     out.append(
         _result(
@@ -628,7 +639,7 @@ def check_packing(rng: RngStream, threads=None) -> list[InvariantResult]:
     )
     worst = 0.0
     for n, m in ((2, 4), (2, 6), (3, 8)):
-        res = packing.optimize_packing(n, m, budget, rng.child(10 + m), threads)
+        res = packing.optimize_packing(n, m, budget, rng.child(10 + m))
         c = packing.covering_radius_estimate(res.points)
         worst = max(worst, c - res.min_dist - 0.01)
     out.append(
@@ -661,13 +672,11 @@ def run_verify(
         elif sc == "pointsets":
             out.extend(check_pointsets(samples, rng.child(2), threads))
         elif sc == "rpq":
-            ks = k_values or [2, 3, 4]
-            out.extend(check_rpq(ks, samples, rng.child(3), threads))
+            out.extend(check_rpq(k_values or [2, 3, 4], samples, rng.child(3), threads))
         elif sc == "odd":
-            ks = [k for k in (k_values or [3])]
-            out.extend(check_odd(ks, samples, rng.child(4), threads))
+            out.extend(check_odd(k_values or [3], samples, rng.child(4), threads))
         elif sc == "packing":
-            out.extend(check_packing(rng.child(5), threads))
+            out.extend(check_packing(rng.child(5)))
         else:
             raise ValueError(f"unknown scope {scope!r}")
     return out

@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry, pointsets
 from .distortion import Correspondence, ElementBatch
 from .geometry import UnitVector
-from .pointsets import DEFAULT_CELL_TOL, AntipodalSet
+from .pointsets import AntipodalSet
 
 LOW, HIGH = "low", "high"
 
@@ -29,7 +29,7 @@ class VoronoiCorrespondence(Correspondence):
     low sphere paired with the site of a containing cell of Q, or a point of
     the high sphere paired with the site of a containing cell of P.  Strata
     are the 4m signed cells, counted per direction.  Cell membership admits
-    ties within ``pointsets.DEFAULT_CELL_TOL`` radians of site distance.
+    ties within ``pointsets.CELL_TOL`` radians of site distance.
     """
 
     def __init__(self, p_set: AntipodalSet, q_set: AntipodalSet):
@@ -156,7 +156,7 @@ def rpq_bound(
 
 
 def rpq_correspondents(
-    corr: VoronoiCorrespondence, point: UnitVector, side: str, tol: float = DEFAULT_CELL_TOL
+    corr: VoronoiCorrespondence, point: UnitVector, side: str
 ) -> list[UnitVector]:
     """Site correspondents of ``point``: the signed sites of its cells.
 
@@ -167,11 +167,11 @@ def rpq_correspondents(
     if side == LOW:
         if point.dim != corr.P.dim:
             raise ValueError(f"low-side point must live on S^{corr.P.dim}")
-        cells = pointsets.voronoi_cells_of(corr.P, point, tol)
+        cells = pointsets.voronoi_cells_of(corr.P, point)
         return [UnitVector(corr.Q.points()[c.linear - 1]) for c in cells]
     if side == HIGH:
         if point.dim != corr.Q.dim:
             raise ValueError(f"high-side point must live on S^{corr.Q.dim}")
-        cells = pointsets.voronoi_cells_of(corr.Q, point, tol)
+        cells = pointsets.voronoi_cells_of(corr.Q, point)
         return [UnitVector(corr.P.points()[c.linear - 1]) for c in cells]
     raise ValueError(f"side must be '{LOW}' or '{HIGH}', got {side!r}")

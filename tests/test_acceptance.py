@@ -12,21 +12,18 @@ import pytest
 
 from spherecorr import (
     OddCircleCorrespondence,
+    PackingBudget,
     PackingStore,
     RngStream,
     SearchBudget,
-    UnitVector,
     VoronoiCorrespondence,
     arc_augmented_set,
     asymptotic_table,
     best_bound,
-    circle_correspondents,
-    circle_distance,
     cross_polytope_set,
     cross_polytope_vdiam_exact,
     estimate_distortion,
     evenly_spaced_circle_set,
-    max_distortion_witness,
     optimize_packing,
     rpq_bound,
     separation,
@@ -36,9 +33,17 @@ from spherecorr import pointsets
 from spherecorr.geometry import sample_uniform_many
 from spherecorr.serialize import dumps
 from spherecorr.verify import (
+    CORNER_K3,
+    PACKING_ANCHORS,
+    arc_set_sweep,
+    corner_correspondent_error,
+    cross_cell_diameter_gaps,
+    cross_vdiam_error,
     cyclic_shift_violation,
     distance_decrease_violations,
     nine_case_witnesses,
+    odd_window_violation,
+    odd_witness_error,
     z2_violation,
 )
 
@@ -93,17 +98,15 @@ def odd_distortion_runs():
 
 @pytest.fixture(scope="session")
 def packing_runs():
-    anchor_budget = SearchBudget(samples=1600, refine_iters=400, initial_step=0.08, decay=0.9, restarts=16)
-    wide_budget = SearchBudget(samples=1600, refine_iters=400, initial_step=0.08, decay=0.9, restarts=64)
+    anchor_budget = PackingBudget(1600, 400, 16)
+    wide_budget = PackingBudget(1600, 400, 64)
     runs = {}
     for workers in WORKER_COUNTS:
         t0 = time.perf_counter()
-        results = {
-            (1, 5): optimize_packing(1, 5, anchor_budget, RngStream(SEED, (10, 15)), workers),
-            (2, 2): optimize_packing(2, 2, anchor_budget, RngStream(SEED, (10, 22)), workers),
-            (2, 3): optimize_packing(2, 3, anchor_budget, RngStream(SEED, (10, 23)), workers),
-            (2, 4): optimize_packing(2, 4, wide_budget, RngStream(SEED, (10, 24)), workers),
-        }
+        results = {}
+        for n, m in PACKING_ANCHORS:
+            budget = wide_budget if (n, m) == (2, 4) else anchor_budget
+            results[n, m] = optimize_packing(n, m, budget, RngStream(SEED, (10, 10 * n + m)))
         blob = dumps({f"{n}-{m}": r.to_json_dict() for (n, m), r in results.items()})
         runs[workers] = (results, blob, time.perf_counter() - t0)
     return runs
@@ -136,33 +139,20 @@ def test_criterion_02_cross_polytope_vdiam(vdiam_runs):
     per_k, elapsed = vdiam_runs[4]
     worst = 0.0
     for k in range(2, 7):
-        value = json.loads(per_k[k])["value"]
-        worst = max(worst, abs(value - cross_polytope_vdiam_exact(k)))
+        worst = max(worst, cross_vdiam_error(k, json.loads(per_k[k])["value"]))
         assert separation(cross_polytope_set(k)) == np.pi / 2
     ok = worst <= 0.01 and elapsed < 30.0
     report(2, ok, f"sampled cell diameters, worst error {worst:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_03_diameter_inequality_sweep():
-    worst = 0.0
-    for k in range(3, 1001):
-        worst = max(worst, cross_polytope_vdiam_exact(k) - (k - 1) * np.pi / k)
-    eq_err = abs(cross_polytope_vdiam_exact(3) - 2 * np.pi / 3)
+    worst, eq_err = cross_cell_diameter_gaps()
     ok = worst <= 1e-12 and eq_err <= 1e-12
     report(3, ok, f"diameter inequality sweep, worst excess {worst:.2e}, k=3 gap {eq_err:.2e}")
 
 
 def test_criterion_04_corner_correspondents():
-    x = UnitVector([0.5, -0.5, 0.5, 0.5])
-    expected = [-np.pi / 24, 7 * np.pi / 24, 11 * np.pi / 24, 43 * np.pi / 24]
-    expected_anti = [19 * np.pi / 24, 23 * np.pi / 24, 31 * np.pi / 24, 35 * np.pi / 24]
-    worst = 0.0
-    for point, want in ((x, expected), (x.antipode(), expected_anti)):
-        got = sorted(a.theta for a in circle_correspondents(3, point))
-        want = sorted(t % (2 * np.pi) for t in want)
-        assert len(got) == 4
-        for g, w in zip(got, want):
-            worst = max(worst, circle_distance(g, w))
+    worst = max(corner_correspondent_error(*corner) for corner in CORNER_K3)
     report(4, worst <= 1e-12, f"corner correspondent angles, worst error {worst:.2e}")
 
 
@@ -170,16 +160,15 @@ def test_criterion_05_odd_correspondence_distortion(odd_distortion_runs):
     ok = True
     notes = []
     for k in (3, 5, 7):
-        target = (k - 1) * np.pi / k
-        _, value = max_distortion_witness(k)
-        witness_err = abs(value - target)
+        witness_err = odd_witness_error(k)
         ok &= witness_err <= 1e-12
         for workers in WORKER_COUNTS:
             _, estimate, elapsed = odd_distortion_runs[workers][k]
-            ok &= target - 0.02 <= estimate <= target + 1e-6
+            ok &= odd_window_violation(k, estimate) <= 0.0
             ok &= elapsed < 300.0
         _, estimate, elapsed = odd_distortion_runs[4][k]
-        notes.append(f"k={k}: witness err {witness_err:.1e}, est gap {target - estimate:+.1e}, {elapsed:.0f}s")
+        gap = (k - 1) * np.pi / k - estimate
+        notes.append(f"k={k}: witness err {witness_err:.1e}, est gap {gap:+.1e}, {elapsed:.0f}s")
     report(5, ok, "; ".join(notes))
 
 
@@ -257,14 +246,11 @@ def test_criterion_09_arc_sets():
     worst_sep = 0.0
     worst_vd = 0.0
     count_bad = 0
-    for n in range(2, 30):
-        for k in range(n + 1, 31):
-            aset = arc_augmented_set(n, k)
-            if aset.points().shape[0] != 2 * (k + 1):
-                count_bad += 1
-            worst_sep = max(worst_sep, np.pi / (k - n + 3) - separation(aset))
-            vd, _ = voronoi_diameter_estimate(aset, 2048, 20, RngStream(SEED, (9, n, k)))
-            worst_vd = max(worst_vd, vd - np.pi * n / (n + 1))
+    for n, k, aset, sep_deficit, count_err in arc_set_sweep():
+        count_bad += count_err > 0
+        worst_sep = max(worst_sep, sep_deficit)
+        vd, _ = voronoi_diameter_estimate(aset, 2048, 20, RngStream(SEED, (9, n, k)))
+        worst_vd = max(worst_vd, vd - np.pi * n / (n + 1))
     ok = count_bad == 0 and worst_sep <= 1e-12 and worst_vd <= 0.02
     report(
         9, ok,
@@ -275,25 +261,14 @@ def test_criterion_09_arc_sets():
 
 def test_criterion_10_packing_anchors(packing_runs):
     results, _, elapsed = packing_runs[4]
-    errs = {
-        "(1,5)": abs(results[(1, 5)].min_dist - np.pi / 5),
-        "(2,2)": abs(results[(2, 2)].min_dist - np.pi / 2),
-        "(2,3)": abs(results[(2, 3)].min_dist - np.pi / 2),
-        "(2,4)": abs(results[(2, 4)].min_dist - np.arccos(1 / 3)),
-    }
-    ok = (
-        errs["(1,5)"] <= 1e-4
-        and errs["(2,2)"] <= 1e-6
-        and errs["(2,3)"] <= 1e-6
-        and errs["(2,4)"] <= 1e-3
-        and elapsed < 120.0
-    )
-    note = ", ".join(f"{key} err {val:.1e}" for key, val in errs.items())
+    errs = {key: abs(results[key].min_dist - target) for key, (target, _) in PACKING_ANCHORS.items()}
+    ok = all(errs[key] <= tol for key, (_, tol) in PACKING_ANCHORS.items()) and elapsed < 120.0
+    note = ", ".join(f"({n},{m}) err {val:.1e}" for (n, m), val in errs.items())
     report(10, ok, f"packing anchors: {note}, {elapsed:.0f}s")
 
 
 def test_criterion_11_asymptotic_slope(tmp_path):
-    budget = SearchBudget(samples=1200, refine_iters=300, initial_step=0.08, decay=0.9, restarts=10)
+    budget = PackingBudget(1200, 300, 10)
     store = PackingStore(tmp_path / "cache")
     ks = list(range(8, 41))
     t0 = time.perf_counter()

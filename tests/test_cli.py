@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from spherecorr import PackingBudget, RngStream, optimize_packing
 from spherecorr.cli import main, parse_k_range
+from spherecorr.serialize import dumps
 
 
 @pytest.fixture(autouse=True)
@@ -151,9 +154,11 @@ def test_packing_command_and_cache(capsys, tmp_path):
     )
     code, out1 = run_cli(capsys, *args)
     assert code == 0
-    row = json.loads(out1)
-    assert row["m"] == 4
-    assert row["min_dist"] == pytest.approx(np.arccos(1 / 3), abs=1e-3)
+    # the flags fill PackingBudget(ascent_steps, polish_steps, restarts)
+    result = optimize_packing(2, 4, PackingBudget(800, 200, 8), RngStream(1))
+    row = dict(result.to_json_dict(), n=2, m=4, min_dist_over_pi=result.min_dist / np.pi)
+    assert out1 == dumps(row) + "\n"
+    assert result.min_dist == pytest.approx(np.arccos(1 / 3), abs=1e-3)
     # second run is served from the cache, byte-identical
     code, out2 = run_cli(capsys, *args)
     assert code == 0
@@ -173,6 +178,16 @@ def test_packing_output_does_not_depend_on_cache_state(capsys, tmp_path, monkeyp
     assert after_table == fresh
 
 
+def test_packing_anchor_default_flags(capsys):
+    # six lines in RP^2 pack at arccos(1/sqrt(5)); the benchmark allows 1e-3
+    errors = []
+    for seed in range(8):
+        code, out = run_cli(capsys, "packing", "--n", "2", "--k", "5", "--threads", "1", "--seed", str(seed))
+        assert code == 0
+        errors.append(abs(json.loads(out)["min_dist"] - np.arccos(1 / np.sqrt(5))))
+    assert max(errors) <= 5e-4, errors
+
+
 def test_packing_usage_error(capsys):
     code, _ = run_cli(capsys, "packing", "--n", "2", "--k", "2")
     assert code == 2
@@ -184,6 +199,13 @@ def test_verify_geometry(capsys):
     rows = [json.loads(line) for line in out.strip().split("\n")]
     assert all(row["status"] == "pass" for row in rows)
     assert {"invariant", "status", "max_violation", "witness", "detail", "scope"} <= set(rows[0])
+
+
+def test_verify_bytes_are_pinned(capsys):
+    # every scope at its defaults: a change to any check that moves a printed value fails here
+    code, out = run_cli(capsys, "verify", "--scope", "all", "--seed", "0", "--threads", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "95ecb03f7b05a467884f1dba83716a24b0af83a34bd057f0f681a4e7bc2fcf96"
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -3,6 +3,7 @@ import pytest
 
 from spherecorr import (
     OddCircleCorrespondence,
+    PackingBudget,
     RngStream,
     SearchBudget,
     VoronoiCorrespondence,
@@ -37,11 +38,11 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(samples=0)
     with pytest.raises(ValueError):
-        SearchBudget(decay=1.0)
-    with pytest.raises(ValueError):
         SearchBudget(restarts=0)
     with pytest.raises(ValueError):
-        SearchBudget(initial_step=0.0)
+        PackingBudget(ascent_steps=0)
+    with pytest.raises(ValueError):
+        PackingBudget(polish_steps=-1)
 
 
 def test_identity_correspondence_has_zero_distortion():
@@ -266,7 +267,7 @@ def test_refined_values_are_realized_and_never_below_start(corr):
     first, second = sampled_pairs(corr, 40, 12)
     start = _objectives(corr, first, second)
     rngs = [RngStream(13).child(i) for i in range(40)]
-    values = _climb_pairs(corr, first, second, 40, np.pi / 16, 0.9, rngs)
+    values = _climb_pairs(corr, first, second, 40, rngs)
     assert np.all(values >= start)
     assert np.any(values > start)
     for i in range(40):
@@ -280,10 +281,10 @@ def test_refinement_rows_are_batch_independent(corr):
     first, second = sampled_pairs(corr, 24, 14)
     rngs = [RngStream(15).child(i) for i in range(24)]
     together = (first.take(np.arange(24)), second.take(np.arange(24)))
-    values = _climb_pairs(corr, *together, 30, np.pi / 16, 0.9, rngs)
+    values = _climb_pairs(corr, *together, 30, rngs)
     for i in (0, 7, 23):
         alone = (first.take([i]), second.take([i]))
-        value = _climb_pairs(corr, *alone, 30, np.pi / 16, 0.9, [rngs[i]])
+        value = _climb_pairs(corr, *alone, 30, [rngs[i]])
         assert value[0] == values[i]
         for a, b in zip(alone, together):
             assert np.array_equal(a.a[0], b.a[i]) and np.array_equal(a.b[0], b.b[i])
@@ -303,7 +304,7 @@ def test_refined_odd_states_lie_in_closed_cells(k, monkeypatch):
 
     monkeypatch.setattr(corr, "variants_many", recording)
     first, second = sampled_pairs(corr, 30, 16 + k)
-    _climb_pairs(corr, first, second, 30, np.pi / 16, 0.9, [RngStream(17).child(i) for i in range(30)])
+    _climb_pairs(corr, first, second, 30, [RngStream(17).child(i) for i in range(30)])
     # every state the climber can accept is one of these variants
     for batch in offered + [first, second]:
         mask = odd_corr._cell_mask(k, batch.a, 0.0)

@@ -132,7 +132,7 @@ def test_angles_confined_to_intervals():
             interval = CircleInterval.of_cell(k, m)
             assert interval.width == pytest.approx(np.pi / (k + 1), abs=1e-15)
             for t in angles[rows]:
-                assert interval.contains(t, tol=1e-9)
+                assert interval.contains(t)
 
 
 def test_intervals_tile_circle():
@@ -300,7 +300,7 @@ def test_boundary_sample_membership():
     for (m1, m2) in ((1, 4), (1, 2), (3, 8)):
         xs = odd_corr.sample_cell_boundary_many(k, m1, m2, 50, RngStream(14).child(m1, m2))
         for x in xs:
-            cells = ordered_cells_of(k, UnitVector(x), tol=1e-9)
+            cells = ordered_cells_of(k, UnitVector(x))
             assert m1 in cells and m2 in cells
 
 

@@ -6,9 +6,9 @@ import pytest
 from scipy.optimize import minimize
 
 from spherecorr import (
+    PackingBudget,
     PackingStore,
     RngStream,
-    SearchBudget,
     asymptotic_table,
     best_bound,
     covering_radius_estimate,
@@ -20,7 +20,7 @@ from spherecorr import geometry, packing
 from spherecorr.pointsets import arc_rows
 from spherecorr.serialize import dumps
 
-FAST = SearchBudget(samples=1200, refine_iters=300, initial_step=0.08, decay=0.9, restarts=12)
+FAST = PackingBudget(1200, 300, 12)
 
 
 # -- independent oracles ------------------------------------------------------
@@ -120,10 +120,10 @@ def test_batched_restarts_do_not_mix(n, m):
     )
 
     def run(x):
-        x = packing._soft_ascent(x, 100, 0.08)
+        x = packing._soft_ascent(x, 100)
         if n == 1:
             x = packing._circle_polish(x, 100)
-        return packing._polish(x, 100, 0.08, 0.9)
+        return packing._polish(x, 100)
 
     x, used = run(starts)
     for r in range(len(starts)):
@@ -207,7 +207,7 @@ def test_canonical_signs_match_the_element_loop():
 def test_packing_monotone_in_m():
     # adjacent m can share one optimal value (a plateau), so allow polish-level
     # noise; real restart failures show up orders of magnitude above this
-    budget = SearchBudget(samples=1600, refine_iters=400, initial_step=0.08, decay=0.9, restarts=24)
+    budget = PackingBudget(1600, 400, 24)
     for n in (2, 3):
         values = [
             optimize_packing(n, m, budget, RngStream(6).child(n, m)).min_dist
@@ -360,7 +360,7 @@ def test_store_save_is_atomic(tmp_path, monkeypatch):
 def test_asymptotic_table_n3_slope_not_steeper_than_sqrt(tmp_path):
     # this construction only yields a 1/sqrt(k) gap in every dimension, so
     # the fitted log-log slope should not drop much below -1/2 for n = 3
-    budget = SearchBudget(samples=1000, refine_iters=250, initial_step=0.08, decay=0.9, restarts=8)
+    budget = PackingBudget(1000, 250, 8)
     ks = list(range(8, 25, 2))
     rows = asymptotic_table(3, ks, budget, RngStream(21), store=PackingStore(tmp_path))
     gaps = np.array([row["gap"] for row in rows])
@@ -382,6 +382,6 @@ def test_asymptotic_table_rows(tmp_path):
 
 
 def test_restart_reduction_deterministic():
-    a = optimize_packing(2, 4, FAST, RngStream(3), threads=1)
-    b = optimize_packing(2, 4, FAST, RngStream(3), threads=4)
+    a = optimize_packing(2, 4, FAST, RngStream(3))
+    b = optimize_packing(2, 4, FAST, RngStream(3))
     assert dumps(a.to_json_dict()) == dumps(b.to_json_dict())

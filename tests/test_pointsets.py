@@ -133,7 +133,7 @@ def test_voronoi_cells_at_site_and_corners():
     only = voronoi_cells_of(cp, UnitVector([1, 0, 0, 0]))
     assert [(c.rep_index, c.sign) for c in only] == [(1, 1)]
 
-    corner = voronoi_cells_of(cp, UnitVector([0.5, -0.5, 0.5, 0.5]), tol=1e-9)
+    corner = voronoi_cells_of(cp, UnitVector([0.5, -0.5, 0.5, 0.5]))
     assert sorted((c.rep_index, c.sign) for c in corner) == [(1, 1), (2, -1), (3, 1), (4, 1)]
 
     sym = voronoi_cells_of(cp, UnitVector([0.5, 0.5, 0.5, 0.5]))
@@ -248,7 +248,7 @@ COVERING_CASES = (
 
 @pytest.mark.parametrize("kind,n,size", COVERING_CASES)
 def test_covering_radius_matches_convex_hull(kind, n, size):
-    from spherecorr import SearchBudget, optimize_packing
+    from spherecorr import PackingBudget, optimize_packing
 
     if kind == "circle":
         reps = evenly_spaced_circle_set(size).reps
@@ -259,7 +259,7 @@ def test_covering_radius_matches_convex_hull(kind, n, size):
     elif kind == "random":
         reps = AntipodalSet(np.random.default_rng(10 * n + size).standard_normal((size, n + 1))).reps
     else:
-        budget = SearchBudget(samples=400, refine_iters=100, restarts=4)
+        budget = PackingBudget(400, 100, 4)
         reps = optimize_packing(n, size, budget, RngStream(4).child(n)).points
     assert covering_radius(reps) == pytest.approx(hull_covering_radius(reps), abs=1e-12)
 
