@@ -80,10 +80,8 @@ def _bound_rows(n: int, k_values: list[int]) -> list[dict]:
 
 
 def cmd_bound(args) -> int:
-    k_values = parse_k_range(args.k)
-    if args.n < 1 or min(k_values) <= args.n:
-        raise ValueError("bound needs 1 <= n < k")
-    _emit(_bound_rows(args.n, k_values), args.format, args.out)
+    # best_bound rejects every (n, k) outside 1 <= n < k before a row is printed
+    _emit(_bound_rows(args.n, parse_k_range(args.k)), args.format, args.out)
     return 0
 
 
@@ -145,18 +143,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.n < 2:
-        raise ValueError("the asymptotic table needs n >= 2")
-    k_values = parse_k_range(args.k)
-    if min(k_values) <= args.n:
-        raise ValueError("every k in the range must exceed n")
-    store = packing.PackingStore()
+    # asymptotic_table rejects n < 2 and each k <= n before it optimizes that row
     rows = packing.asymptotic_table(
         args.n,
-        k_values,
+        parse_k_range(args.k),
         budget=packing.PackingBudget(args.samples, args.refine_iters, args.restarts),
         rng=RngStream(args.seed),
-        store=store,
+        store=packing.PackingStore(),
     )
     slim = [{key: row[key] for key in ("k", "bound", "gap", "gap_sqrtk")} for row in rows]
     _emit(slim, args.format, args.out)
@@ -170,14 +163,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples_default):
+    def seeded(p, samples_default):
         p.add_argument("--samples", type=int, default=samples_default)
-        p.add_argument("--refine-iters", type=int, default=200, dest="refine_iters")
-        p.add_argument("--restarts", type=int, default=8)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
+
+    def common(p, samples_default):
+        seeded(p, samples_default)
+        p.add_argument("--refine-iters", type=int, default=200, dest="refine_iters")
+        p.add_argument("--restarts", type=int, default=8)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_bound = sub.add_parser("bound", help="closed-form bound table rows")
     p_bound.add_argument("--n", type=int, required=True)
@@ -203,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scope", default="all", choices=SCOPES + ("all",)
     )
     p_ver.add_argument("--k", default=None, help="k values for rpq/odd scopes (a..b allowed)")
-    common(p_ver, 20000)
+    seeded(p_ver, 20000)
     p_ver.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="packing-driven asymptotic bound table")

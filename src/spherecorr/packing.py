@@ -21,15 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, serialize
-from .pointsets import arc_rows, covering_radius, cross_polytope_vdiam_exact
+from .pointsets import AntipodalSet, arc_rows, covering_radius, cross_polytope_set, cross_polytope_vdiam_exact
 from .rng import RngStream
+from .voronoi_corr import VoronoiCorrespondence, rpq_bound
 
 BETA_SCHEDULE = (8.0, 32.0, 128.0, 512.0)
 
 CACHE_ENV = "SPHERECORR_CACHE"
 
 # Version of the PackingStore key and entry layout; bump it when either changes.
-STORE_FORMAT = 3
+STORE_FORMAT = 4
 
 # Largest deviation from unit length a cached row may show.
 UNIT_NORM_TOL = 1e-12
@@ -119,19 +120,22 @@ class PackingResult:
 # Optimizer
 # ---------------------------------------------------------------------------
 
-def _soft_ascent(x: np.ndarray, iters_per_beta: int) -> np.ndarray:
+def _soft_ascent(x: np.ndarray, steps: int) -> np.ndarray:
     """Ascend the soft-min energy of every restart through the sharpening schedule.
 
-    ``x`` is an (R, m, n+1) stack of starts.  The nearest pair of a restart
-    always weighs exp(0) = 1, so its weights never vanish; a restart whose
-    gradient vanishes stops moving until the next beta stage.
+    ``x`` is an (R, m, n+1) stack of starts.  The ``steps`` are split over the
+    beta stages, the first ``steps % 4`` stages taking one extra.  The nearest
+    pair of a restart always weighs exp(0) = 1, so its weights never vanish; a
+    restart whose gradient vanishes stops moving until the next beta stage.
     """
     count, m = x.shape[:2]
-    for beta in BETA_SCHEDULE:
+    per_stage, extra = divmod(steps, len(BETA_SCHEDULE))
+    for stage, beta in enumerate(BETA_SCHEDULE):
+        iters = per_stage + (stage < extra)
         step = STEP
-        shrink = (1e-2) ** (1.0 / max(iters_per_beta, 1))
+        shrink = (1e-2) ** (1.0 / max(iters, 1))
         live = np.ones(count, dtype=bool)
-        for _ in range(iters_per_beta):
+        for _ in range(iters):
             gram = x @ x.transpose(0, 2, 1)
             a = np.minimum(np.abs(gram), 1.0)
             w = np.arccos(a)
@@ -230,11 +234,10 @@ def optimize_packing(
         raise ValueError("projective dimension must be >= 1")
     if m < 2:
         raise ValueError("need at least two points to pack")
-    iters_per_beta = max(1, budget.ascent_steps // len(BETA_SCHEDULE))
     starts = [arc_rows(n, m)] + [
         geometry.sample_uniform_many(n, m, rng.child(i)) for i in range(1, budget.restarts)
     ]
-    x = _soft_ascent(np.stack(starts), iters_per_beta)
+    x = _soft_ascent(np.stack(starts), budget.ascent_steps)
     if n == 1:
         x = _circle_polish(x, budget.polish_steps)
     x, used = _polish(x, budget.polish_steps)
@@ -242,7 +245,7 @@ def optimize_packing(
     for points, steps in zip(canonicalize_signs(geometry.normalize_rows(x)), used):
         val = min_pair_distance(points)
         if val > best_val or (val == best_val and points.tolist() < best_x.tolist()):
-            best_val, best_x, best_iters = val, points, iters_per_beta * len(BETA_SCHEDULE) + int(steps)
+            best_val, best_x, best_iters = val, points, budget.ascent_steps + int(steps)
     return PackingResult(
         points=best_x,
         min_dist=best_val,
@@ -260,27 +263,20 @@ def covering_radius_estimate(points) -> float:
 # Bounds
 # ---------------------------------------------------------------------------
 
-def packing_bound_terms(n: int, k: int, p_lower: float) -> dict:
-    """The three competing terms of the packing-based distortion bound.
+def packing_bound(points: np.ndarray, k: int) -> float:
+    """Certified bound max(arccos(-(k-1)/(k+1)), pi - p, 2 cov) from k+1 lines in RP^n.
 
-    ``pi_minus_p`` is conservative when evaluated at a lower packing estimate,
-    while ``two_p`` is anti-conservative; callers that need a certified value
-    must control the provenance of ``p_lower`` themselves.
+    It is ``rpq_bound`` of +-points collapsed onto the cross-polytope of S^k:
+    a cell of +-points lies within cov of its site, so its diameter is <= 2 cov.
     """
+    points = np.asarray(points, dtype=float)
+    n = points.shape[1] - 1
     if n < 2 or k <= n:
         raise ValueError("the packing bound needs 2 <= n < k")
-    if not 0.0 < p_lower <= np.pi / 2:
-        raise ValueError("packing distance must lie in (0, pi/2]")
-    return {
-        "cell_diameter": cross_polytope_vdiam_exact(k),
-        "pi_minus_p": np.pi - p_lower,
-        "two_p": 2.0 * p_lower,
-    }
-
-
-def packing_bound(n: int, k: int, p_lower: float) -> float:
-    """max(arccos(-(k-1)/(k+1)), pi - p, 2p) evaluated at the supplied p."""
-    return max(packing_bound_terms(n, k, p_lower).values())
+    # through this module's name: perfbench's trace wraps it to time packing.covering_s
+    two_cov = 2.0 * covering_radius_estimate(points)
+    corr = VoronoiCorrespondence(AntipodalSet(points), cross_polytope_set(k))
+    return rpq_bound(corr, two_cov, cross_polytope_vdiam_exact(k))
 
 
 def circle_to_sphere_exact(k: int) -> float:
@@ -300,28 +296,28 @@ def collapse_bound(k: int) -> float:
     return np.pi * k / (k + 1.0)
 
 
-def best_bound(n: int, k: int, p_lower: float | None = None) -> tuple[float, str]:
+def best_bound(n: int, k: int, points: np.ndarray | None = None) -> tuple[float, str]:
     """Best available upper bound on the doubled distance between S^n and S^k.
 
     For n = 1 the value is exact.  For n >= 2 the collapse bound pi*k/(k+1)
-    always applies; when a packing estimate is supplied the packing bound may
-    improve on it.
+    always applies; the certified packing bound of ``points`` (k+1 lines in
+    RP^n), when supplied, may improve on it.
     """
     if not 1 <= n < k:
         raise ValueError("need 1 <= n < k")
     if n == 1:
         return circle_to_sphere_exact(k), "exact"
     value = collapse_bound(k)
-    if p_lower is not None:
-        value = min(value, packing_bound(n, k, p_lower))
+    if points is not None:
+        if np.shape(points)[1] != n + 1:
+            raise ValueError(f"the packing must hold lines of RP^{n}")
+        value = min(value, packing_bound(points, k))
     return value, "upper-bound"
 
 
-def bound_source(n: int, k: int, p_lower: float | None = None) -> str:
+def bound_source(n: int, k: int) -> str:
     if n == 1:
         return "circle-even" if k % 2 == 0 else "circle-odd"
-    if p_lower is not None and packing_bound(n, k, p_lower) < collapse_bound(k):
-        return "packing"
     return "even-cross-collapse"
 
 
@@ -402,7 +398,7 @@ def asymptotic_table(
     rng: RngStream = RngStream(0),
     store: PackingStore | None = None,
 ) -> list[dict]:
-    """Rows (k, bound, gap, gap*sqrt(k)) using packing-improved bounds.
+    """Rows (k, bound, gap, gap*sqrt(k)) using certified packing bounds.
 
     Packings of k+1 points in RP^n come from the store when available and are
     optimized (and cached) otherwise.
@@ -420,7 +416,7 @@ def asymptotic_table(
             result = optimize_packing(n, m, budget, stream)
             if store is not None:
                 store.save(n, m, budget, stream, result)
-        bound, _ = best_bound(n, k, result.min_dist)
+        bound, _ = best_bound(n, k, result.points)
         gap = np.pi - bound
         rows.append(
             {

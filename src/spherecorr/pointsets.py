@@ -240,6 +240,11 @@ def covering_radius(reps: np.ndarray) -> float:
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))[: 2 ** (d - 1)]
     v = np.linalg.solve(rows[:, None], signs[None, :, :, None]).reshape(-1, d)
     v = geometry.normalize_rows(v)
+    # A score is arccos max_i |<v, p_i>| and arccos falls with slope >= 1: a
+    # candidate more than 1e-9 behind the smallest cosine is more than 1e-9
+    # behind in distance, far above the matmul's roundoff, so it cannot hold the max.
+    cos = np.max(np.abs(v @ reps.T), axis=1)
+    v = v[cos <= cos.min() + 1e-9]
     return float(np.max(np.min(geometry.projective_many(v[:, None, :], reps), axis=1)))
 
 

@@ -208,6 +208,13 @@ def test_verify_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "95ecb03f7b05a467884f1dba83716a24b0af83a34bd057f0f681a4e7bc2fcf96"
 
 
+@pytest.mark.parametrize("flag", [("--format", "csv"), ("--refine-iters", "5"), ("--restarts", "2")])
+def test_verify_rejects_flags_it_does_not_read(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--scope", "geometry", *flag])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_verify_geometry_at_a_million_samples(capsys, seed):
     # the circle embedding reaches 0 and pi, where a clipped arccos loses ~1e-11
@@ -253,6 +260,17 @@ def test_table_csv(capsys):
     assert len(lines) == 5
     gaps = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(g > 0 for g in gaps)
+
+
+@pytest.mark.parametrize("n, ks, digest", [
+    (2, "3..12", "75bc40709a2a3baff2b4f6e9df5bbb8b564ddad75c049bf7521badf1f9569a80"),
+    (3, "4..9", "f0b2be1b6e69f063242135d6b0fc96a4e397fcb8767ff1835264156fc07e6039"),
+])
+def test_table_bytes_are_pinned(capsys, n, ks, digest):
+    # every printed bound is certified; a change that moves one fails here
+    code, out = run_cli(capsys, "table", "--n", str(n), "--k", ks, "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_table_usage_errors(capsys):

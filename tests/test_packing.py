@@ -6,18 +6,25 @@ import pytest
 from scipy.optimize import minimize
 
 from spherecorr import (
+    AntipodalSet,
     PackingBudget,
     PackingStore,
     RngStream,
+    SearchBudget,
+    VoronoiCorrespondence,
     asymptotic_table,
     best_bound,
     covering_radius_estimate,
+    cross_polytope_set,
+    cross_polytope_vdiam_exact,
+    estimate_distortion,
     euclidean_bound,
     optimize_packing,
     packing_bound,
+    voronoi_diameter_estimate,
 )
 from spherecorr import geometry, packing
-from spherecorr.pointsets import arc_rows
+from spherecorr.pointsets import arc_rows, covering_radius
 from spherecorr.serialize import dumps
 
 FAST = PackingBudget(1200, 300, 12)
@@ -120,7 +127,7 @@ def test_batched_restarts_do_not_mix(n, m):
     )
 
     def run(x):
-        x = packing._soft_ascent(x, 100)
+        x = packing._soft_ascent(x, 400)
         if n == 1:
             x = packing._circle_polish(x, 100)
         return packing._polish(x, 100)
@@ -242,17 +249,43 @@ def test_covering_never_exceeds_packing():
         assert covering_radius_estimate(r.points) <= r.min_dist + 0.01
 
 
-def test_packing_bound_formula():
-    p = np.arccos(1 / 3)
-    value = packing_bound(2, 3, p)
-    assert value == pytest.approx(max(2 * np.pi / 3, np.pi - p, 2 * p), abs=1e-15)
-    assert value == pytest.approx(2 * p, abs=1e-15)  # 2p binds here
+CERTIFIED_ROWS = ((2, 3), (3, 4), (3, 5))  # the table rows the certified bound lowers at seed 0
+
+
+@pytest.fixture(scope="module")
+def table_packings():
+    # the packings behind these rows of `table --seed 0` at its default flags
+    budget = PackingBudget(1600, 200, 8)
+    return {(n, k): optimize_packing(n, k + 1, budget, RngStream(0).child(k)).points for n, k in CERTIFIED_ROWS}
+
+
+@pytest.mark.parametrize("n, k", CERTIFIED_ROWS)
+def test_packing_bound_is_the_certified_collapse_bound(table_packings, n, k):
+    points = table_packings[n, k]
+    cov = covering_radius(points)
+    value = packing_bound(points, k)
+    terms = (cross_polytope_vdiam_exact(k), np.pi - packing.min_pair_distance(points), 2 * cov)
+    assert value == pytest.approx(max(terms), abs=1e-15)
+    assert value < np.pi * k / (k + 1)
+    assert best_bound(n, k, points) == (value, "upper-bound")
+    # the bound holds the engine's estimate for the same correspondence
+    corr = VoronoiCorrespondence(AntipodalSet(points), cross_polytope_set(k))
+    report = estimate_distortion(corr, SearchBudget(65536, 60, 8), RngStream(3), threads=1)
+    assert report.estimate <= value
+    # and 2 cov holds the sampled Voronoi diameter it stands in for
+    vdiam, _ = voronoi_diameter_estimate(AntipodalSet(points), 20_000, rng=RngStream(4), threads=1)
+    assert vdiam <= 2 * cov
+
+
+def test_packing_bound_usage_errors():
     with pytest.raises(ValueError):
-        packing_bound(1, 3, 0.5)
+        packing_bound(np.eye(2), 3)  # n = 1
     with pytest.raises(ValueError):
-        packing_bound(2, 2, 0.5)
+        packing_bound(np.eye(3), 2)  # k = n
     with pytest.raises(ValueError):
-        packing_bound(2, 3, 2.0)
+        packing_bound(np.eye(3), 3)  # 3 lines against the 4 of the cross-polytope of S^3
+    with pytest.raises(ValueError):
+        best_bound(3, 4, np.eye(3)[[0, 1, 2, 0]])  # lines of RP^2 for n = 3
 
 
 def test_best_bound_closed_forms():
@@ -264,13 +297,6 @@ def test_best_bound_closed_forms():
     assert tag == "upper-bound"
     with pytest.raises(ValueError):
         best_bound(3, 3)
-
-
-def test_best_bound_uses_packing_when_better():
-    # at large k the packing term beats pi*k/(k+1)
-    value, _ = best_bound(2, 30, p_lower=0.45)
-    assert value < 30 * np.pi / 31
-    assert value == pytest.approx(packing_bound(2, 30, 0.45), abs=1e-15)
 
 
 def test_euclidean_bound():
@@ -379,6 +405,12 @@ def test_asymptotic_table_rows(tmp_path):
     # warm rerun hits the cache and reproduces the rows byte for byte
     rows2 = asymptotic_table(2, [3, 4, 5], FAST, RngStream(1), store=store)
     assert dumps(rows) == dumps(rows2)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 1601, 1603])
+def test_ascent_budget_is_the_work_done(steps):
+    # the first steps % 4 sharpening stages take one extra step; no rounding
+    assert optimize_packing(2, 4, PackingBudget(steps, 0, 2)).iterations == steps
 
 
 def test_restart_reduction_deterministic():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from spherecorr import (
     voronoi_cells_of,
     voronoi_diameter_estimate,
 )
+from spherecorr import geometry
 from spherecorr.pointsets import covering_radius
 from spherecorr.serialize import dumps
 
@@ -246,22 +248,53 @@ COVERING_CASES = (
 )
 
 
-@pytest.mark.parametrize("kind,n,size", COVERING_CASES)
-def test_covering_radius_matches_convex_hull(kind, n, size):
+def covering_case_reps(kind, n, size):
     from spherecorr import PackingBudget, optimize_packing
 
     if kind == "circle":
-        reps = evenly_spaced_circle_set(size).reps
-    elif kind == "cross":
-        reps = cross_polytope_set(n).reps
-    elif kind == "arc":
-        reps = arc_augmented_set(n, size).reps
-    elif kind == "random":
-        reps = AntipodalSet(np.random.default_rng(10 * n + size).standard_normal((size, n + 1))).reps
-    else:
-        budget = PackingBudget(400, 100, 4)
-        reps = optimize_packing(n, size, budget, RngStream(4).child(n)).points
+        return evenly_spaced_circle_set(size).reps
+    if kind == "cross":
+        return cross_polytope_set(n).reps
+    if kind == "arc":
+        return arc_augmented_set(n, size).reps
+    if kind == "random":
+        return AntipodalSet(np.random.default_rng(10 * n + size).standard_normal((size, n + 1))).reps
+    return optimize_packing(n, size, PackingBudget(400, 100, 4), RngStream(4).child(n)).points
+
+
+@pytest.mark.parametrize("kind,n,size", COVERING_CASES)
+def test_covering_radius_matches_convex_hull(kind, n, size):
+    reps = covering_case_reps(kind, n, size)
     assert covering_radius(reps) == pytest.approx(hull_covering_radius(reps), abs=1e-12)
+
+
+def fully_scored_covering_radius(reps) -> float:
+    """Reference: every candidate of ``covering_radius`` scored by the accurate kernel."""
+    m, d = reps.shape
+    subsets = np.array(list(itertools.combinations(range(m), d)), dtype=int).reshape(-1, d)
+    rows = reps[subsets]
+    rows = rows[np.linalg.matrix_rank(rows) == d]
+    if not len(rows):
+        return np.pi / 2
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))[: 2 ** (d - 1)]
+    v = np.linalg.solve(rows[:, None], signs[None, :, :, None]).reshape(-1, d)
+    v = geometry.normalize_rows(v)
+    return float(np.max(np.min(geometry.projective_many(v[:, None, :], reps), axis=1)))
+
+
+def test_pruned_covering_scorer_matches_the_full_scorer_bitwise():
+    # the matmul pre-screen may only drop candidates that cannot hold the max
+    from spherecorr import PackingBudget, optimize_packing
+
+    sets = [covering_case_reps(*case) for case in COVERING_CASES] + [np.eye(3), np.eye(4)]
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3, 4):
+        for size in (n + 1, n + 2, n + 5, 3 * n + 4):
+            sets += [AntipodalSet(rng.standard_normal((size, n + 1))).reps for _ in range(3)]
+    for n, k in ((2, 3), (2, 9), (3, 5), (3, 8)):
+        sets.append(optimize_packing(n, k + 1, PackingBudget(400, 100, 4), RngStream(0).child(k)).points)
+    for reps in sets:
+        assert covering_radius(reps) == fully_scored_covering_radius(reps), reps
 
 
 def test_covering_radius_without_a_spanning_subset_is_a_right_angle():
