@@ -3,9 +3,11 @@
 Subcommands: ``bound`` (closed-form bound tables), ``distortion`` (empirical
 distortion runs), ``packing`` (projective packing optimization), ``verify``
 (the numeric invariant suite), and ``table`` (packing-driven asymptotic
-rows).  For ``packing`` and ``table``, ``--samples`` counts soft-ascent steps
-and ``--refine-iters`` polish steps.  Output is deterministic JSON lines or
-CSV: identical flags plus seed reproduce identical bytes at any worker count.
+rows).  ``distortion`` takes the fields of a ``SearchBudget`` as flags and
+``packing`` and ``table`` those of a ``PackingBudget``, each with the
+dataclass's own defaults.  Output is deterministic JSON lines (``bound`` and
+``table`` also print CSV): identical flags plus seed reproduce identical
+bytes at any worker count.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -13,16 +15,17 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
-from . import packing, pointsets, serialize
+from . import packing, serialize
 from .distortion import SearchBudget, estimate_distortion
 from .odd_corr import OddCircleCorrespondence
 from .rng import RngStream
 from .verify import SCOPES, run_verify
-from .voronoi_corr import VoronoiCorrespondence, rpq_bound
+from .voronoi_corr import even_cross
 
 USAGE_ERROR = 2
 
@@ -94,24 +97,14 @@ def _single_k(text: str) -> int:
 
 def cmd_distortion(args) -> int:
     k = _single_k(args.k)
-    rng = RngStream(args.seed)
     if args.corr == "odd-rk":
-        if k < 3 or k % 2 == 0:
-            raise ValueError("the odd-rk correspondence needs odd k >= 3")
-        corr = OddCircleCorrespondence(k)
-        bound = (k - 1) * np.pi / k
-    elif args.corr == "rpq-even-cross":
-        if k < 2:
-            raise ValueError("rpq-even-cross needs k >= 2")
-        corr = VoronoiCorrespondence(
-            pointsets.evenly_spaced_circle_set(k + 1), pointsets.cross_polytope_set(k)
-        )
-        bound = rpq_bound(corr, np.pi / (k + 1), pointsets.cross_polytope_vdiam_exact(k))
+        corr, bound = OddCircleCorrespondence(k), (k - 1) * np.pi / k
     else:
-        raise ValueError(f"unknown correspondence selector {args.corr!r}")
-    budget = SearchBudget(args.samples, args.refine_iters, args.restarts)
-    report = estimate_distortion(corr, budget, rng, bound=bound, threads=args.threads)
-    _emit([report.to_json_dict()], args.format, args.out)
+        corr, bound = even_cross(k)
+    report = estimate_distortion(
+        corr, _budget(args, SearchBudget), RngStream(args.seed), bound=bound, threads=args.threads
+    )
+    _emit([report.to_json_dict()], "json", args.out)
     return 0
 
 
@@ -119,17 +112,13 @@ def cmd_packing(args) -> int:
     k = _single_k(args.k)
     if args.n < 1 or k <= args.n:
         raise ValueError("packing needs 1 <= n < k")
-    budget = packing.PackingBudget(args.samples, args.refine_iters, args.restarts)
-    store = packing.PackingStore()
     m = k + 1
-    rng = RngStream(args.seed)
-    result = store.load(args.n, m, budget, rng)
-    if result is None:
-        result = packing.optimize_packing(args.n, m, budget, rng)
-        store.save(args.n, m, budget, rng, result)
+    result = packing.cached_packing(
+        args.n, m, _budget(args, packing.PackingBudget), RngStream(args.seed), packing.PackingStore()
+    )
     row = result.to_json_dict()
     row.update({"n": args.n, "m": m, "min_dist_over_pi": result.min_dist / np.pi})
-    _emit([row], args.format, args.out)
+    _emit([row], "json", args.out)
     return 0
 
 
@@ -147,13 +136,24 @@ def cmd_table(args) -> int:
     rows = packing.asymptotic_table(
         args.n,
         parse_k_range(args.k),
-        budget=packing.PackingBudget(args.samples, args.refine_iters, args.restarts),
+        budget=_budget(args, packing.PackingBudget),
         rng=RngStream(args.seed),
         store=packing.PackingStore(),
     )
     slim = [{key: row[key] for key in ("k", "bound", "gap", "gap_sqrtk")} for row in rows]
     _emit(slim, args.format, args.out)
     return 0
+
+
+def _budget_flags(p, budget_type) -> None:
+    """One flag per field of ``budget_type``, with the dataclass's default."""
+    for field in dataclasses.fields(budget_type):
+        p.add_argument("--" + field.name.replace("_", "-"), type=int, default=field.default)
+
+
+def _budget(args, budget_type):
+    """The ``budget_type`` that the flags of :func:`_budget_flags` parsed into ``args``."""
+    return budget_type(**{f.name: getattr(args, f.name) for f in dataclasses.fields(budget_type)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,51 +163,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def seeded(p, samples_default):
-        p.add_argument("--samples", type=int, default=samples_default)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None)
+    def command(name, func, help, fmt=None, seeded=True):
+        p = sub.add_parser(name, help=help)
+        if fmt is not None:
+            p.add_argument("--format", choices=("json", "csv"), default=fmt)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
+        return p
 
-    def common(p, samples_default):
-        seeded(p, samples_default)
-        p.add_argument("--refine-iters", type=int, default=200, dest="refine_iters")
-        p.add_argument("--restarts", type=int, default=8)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p_bound = sub.add_parser("bound", help="closed-form bound table rows")
+    p_bound = command("bound", cmd_bound, "closed-form bound table rows", fmt="json", seeded=False)
     p_bound.add_argument("--n", type=int, required=True)
     p_bound.add_argument("--k", required=True, help="single value or inclusive range a..b")
-    p_bound.add_argument("--format", choices=("json", "csv"), default="json")
-    p_bound.add_argument("--out", default=None)
-    p_bound.set_defaults(func=cmd_bound)
 
-    p_dist = sub.add_parser("distortion", help="estimate the distortion of a correspondence")
+    p_dist = command("distortion", cmd_distortion, "estimate the distortion of a correspondence")
     p_dist.add_argument("--corr", required=True, choices=("rpq-even-cross", "odd-rk"))
     p_dist.add_argument("--k", required=True)
-    common(p_dist, 1_000_000)
-    p_dist.set_defaults(func=cmd_distortion)
+    _budget_flags(p_dist, SearchBudget)
 
-    p_pack = sub.add_parser("packing", help="optimize a packing of k+1 points in RP^n")
+    p_pack = command("packing", cmd_packing, "optimize a packing of k+1 points in RP^n")
     p_pack.add_argument("--n", type=int, required=True)
     p_pack.add_argument("--k", required=True)
-    common(p_pack, 1600)
-    p_pack.set_defaults(func=cmd_packing)
+    _budget_flags(p_pack, packing.PackingBudget)
 
-    p_ver = sub.add_parser("verify", help="run the numeric invariant suite")
-    p_ver.add_argument(
-        "--scope", default="all", choices=SCOPES + ("all",)
-    )
+    p_ver = command("verify", cmd_verify, "run the numeric invariant suite")
+    p_ver.add_argument("--scope", default="all", choices=SCOPES + ("all",))
     p_ver.add_argument("--k", default=None, help="k values for rpq/odd scopes (a..b allowed)")
-    seeded(p_ver, 20000)
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.add_argument("--samples", type=int, default=20000)
 
-    p_table = sub.add_parser("table", help="packing-driven asymptotic bound table")
+    p_table = command("table", cmd_table, "packing-driven asymptotic bound table", fmt="csv")
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument("--k", required=True, help="inclusive range a..b")
-    common(p_table, 1600)
-    p_table.set_defaults(func=cmd_table)
-    p_table.set_defaults(format="csv")
+    _budget_flags(p_table, packing.PackingBudget)
 
     return parser
 

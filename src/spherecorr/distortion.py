@@ -49,8 +49,9 @@ class SearchBudget:
 class RelationElement:
     """One element (a, b) of a correspondence, tracked through its free point.
 
-    ``side`` names the factor that carries the free (continuum) coordinate;
-    the other coordinate is derived from it by the correspondence.
+    ``side`` names the factor that carries the free (continuum) coordinate,
+    ``a`` for side 0 and ``b`` for side 1; the other coordinate is derived
+    from it by the correspondence.
     """
 
     side: int
@@ -72,9 +73,9 @@ class ElementBatch:
     side: np.ndarray
     strata: np.ndarray
 
-    def element(self, i: int, corr: "Correspondence") -> RelationElement:
+    def element(self, i: int) -> RelationElement:
         side = int(self.side[i])
-        free = self.a[i] if corr.free_factor(side) == 0 else self.b[i]
+        free = self.a[i] if side == 0 else self.b[i]
         return RelationElement(side, np.asarray(free, dtype=float), self.a[i], self.b[i], int(self.strata[i]))
 
     @property
@@ -98,7 +99,9 @@ class Correspondence(ABC):
 
     ``dist_a`` and ``dist_b`` are the only distances the engine scores; on a
     sphere factor they are :func:`geometry.geodesic_many`, which is accurate
-    at 0 and pi where the distortion of a collapse is attained.
+    at 0 and pi where the distortion of a collapse is attained.  The free
+    point of a side-s element lies on factor s: ``a`` for side 0, ``b`` for
+    side 1.
     """
 
     @property
@@ -109,10 +112,6 @@ class Correspondence(ABC):
     @abstractmethod
     def stratum_label(self, stratum: int) -> str:
         """Human-readable name of one stratum."""
-
-    @abstractmethod
-    def free_factor(self, side: int) -> int:
-        """Which factor (0 = A, 1 = B) carries the free point for ``side``."""
 
     @abstractmethod
     def sample_batch(self, count: int, rng: RngStream) -> ElementBatch:
@@ -129,7 +128,7 @@ class Correspondence(ABC):
     def variants_of_free(self, side: int, free: np.ndarray) -> list[RelationElement]:
         """All relation elements over one free point: one row of ``variants_many``."""
         batch, _ = self.variants_many(side, np.asarray(free, dtype=float)[None, :])
-        return [batch.element(i, self) for i in range(len(batch.strata))]
+        return [batch.element(i) for i in range(len(batch.strata))]
 
     @abstractmethod
     def dist_a(self, a1, a2):
@@ -158,7 +157,7 @@ def _in_relation(corr: Correspondence, batch: ElementBatch) -> np.ndarray:
     for side in np.unique(batch.side):
         rows = np.flatnonzero(batch.side == side)
         own = batch.take(rows)
-        found, owner = corr.variants_many(int(side), own.a if corr.free_factor(side) == 0 else own.b)
+        found, owner = corr.variants_many(int(side), own.a if side == 0 else own.b)
         match = (
             (found.strata == own.strata[owner])
             & _close(found.a, own.a[owner])
@@ -238,7 +237,7 @@ def refine_pair(
         return (e1, e2), pair_objective(corr, e1, e2)
     first, second = ElementBatch.of([e1]), ElementBatch.of([e2])
     value = _climb_pairs(corr, first, second, iters, [rng])[0]
-    return (first.element(0, corr), second.element(0, corr)), float(value)
+    return (first.element(0), second.element(0)), float(value)
 
 
 def _climb_pairs(corr, first: ElementBatch, second: ElementBatch, iters, rngs) -> np.ndarray:
@@ -256,7 +255,7 @@ def _climb_pairs(corr, first: ElementBatch, second: ElementBatch, iters, rngs) -
         return values
 
     def free(batch, rows, side):
-        return batch.a[rows] if corr.free_factor(side) == 0 else batch.b[rows]
+        return batch.a[rows] if side == 0 else batch.b[rows]
 
     moves = ((iters + 1) // 2, iters // 2)
     normals = ([], [])
@@ -389,7 +388,7 @@ def estimate_distortion(
     # Largest value; ties go to the smallest witness key.
     best = min(
         np.flatnonzero(values == values.max()),
-        key=lambda i: _witness_key(first.element(i, corr), second.element(i, corr)),
+        key=lambda i: _witness_key(first.element(i), second.element(i)),
     )
     per_stratum = {}
     for flat_key in np.flatnonzero(merged >= 0.0):
@@ -399,7 +398,7 @@ def estimate_distortion(
 
     return DistortionReport(
         estimate=float(values[best]),
-        witness=_as_witness(first.element(best, corr), second.element(best, corr)),
+        witness=_as_witness(first.element(best), second.element(best)),
         samples_used=samples_used,
         per_stratum=per_stratum,
         seed=rng.seed,
@@ -421,9 +420,6 @@ class IdentityCorrespondence(Correspondence):
 
     def stratum_label(self, stratum: int) -> str:
         return "all"
-
-    def free_factor(self, side: int) -> int:
-        return 0
 
     def sample_batch(self, count, rng):
         xs = geometry.sample_uniform_many(self.dim, count, rng)

@@ -290,9 +290,6 @@ class OddCircleCorrespondence(Correspondence):
     def stratum_label(self, stratum: int) -> str:
         return f"cell-{stratum + 1}"
 
-    def free_factor(self, side: int) -> int:
-        return 0
-
     def sample_batch(self, count, rng):
         xs = geometry.sample_uniform_many(self.k, count, rng)
         ms = principal_cells_many(self.k, xs)

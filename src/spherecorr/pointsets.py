@@ -65,17 +65,13 @@ class AntipodalSet:
         self.reps = arr
         self.label = label
         self._points = np.vstack([arr, -arr])
-        self._check_distinct()
-
-    def _check_distinct(self):
-        pts = self._points
-        cos = clip_cosine(pts @ pts.T)
+        cos = clip_cosine(self._points @ self._points.T)
         np.fill_diagonal(cos, -1.0)
-        closest = float(np.arccos(np.max(cos)))
-        if closest < COINCIDENCE_TOL:
+        self._separation = float(np.arccos(np.max(cos)))
+        if self._separation < COINCIDENCE_TOL:
             raise ValueError(
                 "antipodal set has coincident points "
-                f"(closest pair at {closest:.3e} rad)"
+                f"(closest pair at {self._separation:.3e} rad)"
             )
 
     @property
@@ -97,16 +93,6 @@ class AntipodalSet:
     def nearest_site_many(self, xs: np.ndarray) -> np.ndarray:
         """0-based nearest-site index for each row of ``xs`` (ties -> lowest)."""
         return np.argmax(xs @ self._points.T, axis=1)
-
-    def to_json_dict(self) -> dict:
-        return {"dim": self.dim, "label": self.label, "reps": self.reps.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AntipodalSet":
-        aset = cls(data["reps"], label=data.get("label", "custom"))
-        if int(data["dim"]) != aset.dim:
-            raise ValueError("declared dim does not match coordinates")
-        return aset
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +178,11 @@ def arc_augmented_set(n: int, k: int) -> AntipodalSet:
 # ---------------------------------------------------------------------------
 
 def separation(aset: AntipodalSet) -> float:
-    """Minimum geodesic distance over all distinct pairs of the 2m points."""
-    pts = aset.points()
-    if pts.shape[0] < 2:
-        raise ValueError("separation needs at least two points")
-    cos = clip_cosine(pts @ pts.T)
-    np.fill_diagonal(cos, -1.0)
-    return float(np.arccos(np.max(cos)))
+    """Minimum geodesic distance over all distinct pairs of the 2m points.
+
+    Computed once, when the set is built (which rejects coincident points).
+    """
+    return aset._separation
 
 
 def cross_polytope_vdiam_exact(k: int) -> float:

@@ -18,7 +18,7 @@ from .distortion import SearchBudget, estimate_distortion
 from .geometry import UnitVector
 from .odd_corr import OddCircleCorrespondence, cell_angles_many
 from .rng import RngStream
-from .voronoi_corr import VoronoiCorrespondence, rpq_bound, rpq_correspondents
+from .voronoi_corr import even_cross, rpq_correspondents
 
 SCOPES = ("geometry", "pointsets", "rpq", "odd", "packing")
 
@@ -318,10 +318,7 @@ def check_rpq(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
     worst_sound = 0.0
     worst = {}
     for k in k_values:
-        P = pointsets.evenly_spaced_circle_set(k + 1)
-        Q = pointsets.cross_polytope_set(k)
-        corr = VoronoiCorrespondence(P, Q)
-        bound = rpq_bound(corr, np.pi / (k + 1), pointsets.cross_polytope_vdiam_exact(k))
+        corr, bound = even_cross(k)
         rep = estimate_distortion(
             corr,
             SearchBudget(samples=max(20000, samples), refine_iters=60),
@@ -340,9 +337,7 @@ def check_rpq(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
     )
 
     # Antipodal equivariance of correspondent queries.
-    P = pointsets.evenly_spaced_circle_set(4)
-    Q = pointsets.cross_polytope_set(3)
-    corr = VoronoiCorrespondence(P, Q)
+    corr, _ = even_cross(3)
     bad = 0
     for row in geometry.sample_uniform_many(3, 100, rng.child(200)):
         ups = {tuple(np.round(u.coords, 9)) for u in rpq_correspondents(corr, UnitVector(row), "high")}

@@ -26,10 +26,11 @@ class VoronoiCorrespondence(Correspondence):
     """Cell-collapse relation between S^n (side ``low``) and S^k (side ``high``).
 
     Relation elements are tracked by their free point: either a point of the
-    low sphere paired with the site of a containing cell of Q, or a point of
-    the high sphere paired with the site of a containing cell of P.  Strata
-    are the 4m signed cells, counted per direction.  Cell membership admits
-    ties within ``pointsets.CELL_TOL`` radians of site distance.
+    low sphere (side 0) paired with the site of a containing cell of Q, or a
+    point of the high sphere (side 1) paired with the site of a containing
+    cell of P.  Strata are the 4m signed cells, counted per direction.  Cell
+    membership admits ties within ``pointsets.CELL_TOL`` radians of site
+    distance.
     """
 
     def __init__(self, p_set: AntipodalSet, q_set: AntipodalSet):
@@ -39,16 +40,6 @@ class VoronoiCorrespondence(Correspondence):
             )
         self.P = p_set
         self.Q = q_set
-
-    def to_json_dict(self) -> dict:
-        return {"P": self.P.to_json_dict(), "Q": self.Q.to_json_dict()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "VoronoiCorrespondence":
-        return cls(
-            AntipodalSet.from_json_dict(data["P"]),
-            AntipodalSet.from_json_dict(data["Q"]),
-        )
 
     # -- engine interface ---------------------------------------------------
 
@@ -61,9 +52,6 @@ class VoronoiCorrespondence(Correspondence):
         if stratum < 2 * m:
             return f"P-cell-{stratum + 1}"
         return f"Q-cell-{stratum - 2 * m + 1}"
-
-    def free_factor(self, side: int) -> int:
-        return side  # side 0 = low free (factor A), side 1 = high free (factor B)
 
     def _elements(self, side: int, free: np.ndarray, cells: np.ndarray):
         """Batch columns (a, b, side, strata) of the elements over rows ``free`` in ``cells``."""
@@ -153,6 +141,20 @@ def rpq_bound(
     sep_p = pointsets.separation(corr.P)
     sep_q = pointsets.separation(corr.Q)
     return max(vdiam_p, np.pi - sep_p, vdiam_q, np.pi - sep_q)
+
+
+def even_cross(k: int) -> tuple[VoronoiCorrespondence, float]:
+    """The evenly spaced circle set collapsed onto the cross-polytope of S^k, and its bound.
+
+    Both Voronoi diameters are exact (pi/(k+1) on the circle), so the bound
+    is the closed form k*pi/(k+1) up to roundoff.
+    """
+    if k < 2:
+        raise ValueError("rpq-even-cross needs k >= 2")
+    corr = VoronoiCorrespondence(
+        pointsets.evenly_spaced_circle_set(k + 1), pointsets.cross_polytope_set(k)
+    )
+    return corr, rpq_bound(corr, np.pi / (k + 1), pointsets.cross_polytope_vdiam_exact(k))
 
 
 def rpq_correspondents(

@@ -1,11 +1,12 @@
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from spherecorr import PackingBudget, RngStream, optimize_packing
-from spherecorr.cli import main, parse_k_range
+from spherecorr import PackingBudget, RngStream, SearchBudget, optimize_packing
+from spherecorr.cli import build_parser, main, parse_k_range
 from spherecorr.serialize import dumps
 
 
@@ -150,7 +151,7 @@ def test_distortion_byte_identical_across_threads(capsys):
 def test_packing_command_and_cache(capsys, tmp_path):
     args = (
         "packing", "--n", "2", "--k", "3",
-        "--samples", "800", "--refine-iters", "200", "--restarts", "8", "--seed", "1",
+        "--ascent-steps", "800", "--polish-steps", "200", "--restarts", "8", "--seed", "1",
     )
     code, out1 = run_cli(capsys, *args)
     assert code == 0
@@ -215,6 +216,30 @@ def test_verify_rejects_flags_it_does_not_read(capsys, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("packing", "--n", "2", "--k", "3", "--samples", "800"),
+    ("table", "--n", "2", "--k", "3..4", "--refine-iters", "150"),
+    ("packing", "--n", "2", "--k", "3", "--format", "csv"),
+    ("distortion", "--corr", "odd-rk", "--k", "3", "--format", "csv"),
+])
+def test_commands_reject_flags_they_do_not_read(capsys, argv):
+    # packing and table take PackingBudget's flags; nested rows print as JSON only
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (("distortion", "--corr", "odd-rk", "--k", "3"), SearchBudget()),
+    (("packing", "--n", "2", "--k", "3"), PackingBudget()),
+    (("table", "--n", "2", "--k", "3..4"), PackingBudget()),
+])
+def test_budget_flags_default_to_the_library_budget(argv, budget):
+    args = build_parser().parse_args(list(argv))
+    fields = dataclasses.asdict(budget)
+    assert {name: getattr(args, name, None) for name in fields} == fields
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_verify_geometry_at_a_million_samples(capsys, seed):
     # the circle embedding reaches 0 and pi, where a clipped arccos loses ~1e-11
@@ -252,7 +277,7 @@ def test_table_csv(capsys):
     code, out = run_cli(
         capsys,
         "table", "--n", "2", "--k", "3..6",
-        "--samples", "800", "--refine-iters", "150", "--restarts", "6", "--seed", "2",
+        "--ascent-steps", "800", "--polish-steps", "150", "--restarts", "6", "--seed", "2",
     )
     assert code == 0
     lines = out.strip().split("\n")

@@ -272,7 +272,7 @@ def test_refined_values_are_realized_and_never_below_start(corr):
     assert np.any(values > start)
     for i in range(40):
         # the climber scores in the arithmetic of pair_objective: equal, not close
-        assert values[i] == pair_objective(corr, first.element(i, corr), second.element(i, corr))
+        assert values[i] == pair_objective(corr, first.element(i), second.element(i))
     assert _in_relation(corr, first).all() and _in_relation(corr, second).all()
 
 

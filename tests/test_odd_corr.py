@@ -349,7 +349,7 @@ def test_focus_pairs_are_valid_relation_elements():
         rows = len(batch.strata)
         assert rows > 0
         for i in range(rows):
-            assert corr.element_valid(batch.element(i, corr)), (k, i)
+            assert corr.element_valid(batch.element(i)), (k, i)
 
 
 def test_variants_just_outside_a_cell_lie_in_the_closed_cell():

@@ -1,0 +1,32 @@
+"""Every command line the benchmark runs still parses.
+
+``perfbench/workloads.py`` drives the CLI through argv lists, so a renamed or
+removed flag would otherwise surface only when the benchmark runs.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
+
+from spherecorr import cli  # noqa: E402
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_workload_argvs_parse(monkeypatch, name):
+    recorded = []
+
+    def record(argv):
+        recorded.append(list(argv))
+        return lambda: (0, "")
+
+    monkeypatch.setattr(workloads, "cli_runner", record)
+    workloads.build(name, 0)
+    assert recorded
+    parser = cli.build_parser()
+    for argv in recorded:
+        parser.parse_args(argv)  # exits 2 on an unknown flag

@@ -14,6 +14,7 @@ from spherecorr import (
     separation,
     voronoi_diameter_estimate,
 )
+from spherecorr import voronoi_corr
 from spherecorr.geometry import geodesic_many, normalize_rows, sample_uniform_many
 from spherecorr.pointsets import AntipodalSet, cell_mask
 from spherecorr.verify import nine_case_witnesses
@@ -23,6 +24,14 @@ def even_cross(k):
     return VoronoiCorrespondence(
         evenly_spaced_circle_set(k + 1), cross_polytope_set(k)
     )
+
+
+def test_library_even_cross_matches_and_rejects_k_below_2():
+    corr, bound = voronoi_corr.even_cross(4)
+    assert np.array_equal(corr.P.reps, even_cross(4).P.reps)
+    assert bound == rpq_bound(even_cross(4), np.pi / 5, cross_polytope_vdiam_exact(4))
+    with pytest.raises(ValueError):
+        voronoi_corr.even_cross(1)
 
 
 def test_requires_equal_sizes():
@@ -90,7 +99,7 @@ def test_sample_batch_membership_and_reproducibility():
     batch = corr.sample_batch(100, RngStream(7))
     assert set(batch.side.tolist()) == {0, 1}
     for i in range(len(batch.strata)):
-        assert corr.element_valid(batch.element(i, corr)), i
+        assert corr.element_valid(batch.element(i)), i
     again = corr.sample_batch(100, RngStream(7))
     for col, col2 in zip(batch.columns, again.columns):
         assert np.array_equal(col, col2)
@@ -130,7 +139,7 @@ def test_focus_pairs_are_valid_relation_elements():
     rows = len(batch.strata)
     assert rows > 0
     for i in range(rows):
-        assert corr.element_valid(batch.element(i, corr)), i
+        assert corr.element_valid(batch.element(i)), i
 
 
 def bisection_ties(aset, ys):
@@ -177,15 +186,6 @@ def test_tie_points_stay_put_when_the_second_site_is_antipodal():
     assert np.array_equal(ties, bisection_ties(aset, ys))
 
 
-def test_correspondence_json_roundtrip():
-    corr = even_cross(3)
-    data = corr.to_json_dict()
-    assert set(data) == {"P", "Q"}
-    back = VoronoiCorrespondence.from_json_dict(data)
-    assert np.allclose(back.P.reps, corr.P.reps, atol=0)
-    assert np.allclose(back.Q.reps, corr.Q.reps, atol=0)
-
-
 def test_even_cross_estimates_reach_collapse_bound():
     # refinement drives the estimate into the window below k pi/(k+1)
     from spherecorr import SearchBudget, estimate_distortion
@@ -209,5 +209,5 @@ def test_mixed_construction_correspondence():
     assert batch.a.shape == (2000, 3)
     assert batch.b.shape == (2000, 6)
     for i in (0, 1, 999, 1999):
-        elem = batch.element(i, corr)
+        elem = batch.element(i)
         assert corr.element_valid(elem)
