@@ -16,25 +16,13 @@ from .distortion import (
     estimate_distortion,
     refine_pair,
 )
-from .geometry import (
-    CircleAngle,
-    UnitVector,
-    chord_length,
-    circle_distance,
-    geodesic_distance,
-    projective_distance,
-    sample_uniform,
-)
+from .geometry import UnitVector
 from .odd_corr import (
     CircleInterval,
     OddCircleCorrespondence,
-    OrderedCellId,
     case_reduction_pairs,
-    cell_angle,
-    circle_correspondents,
     cyclic_shift,
     max_distortion_witness,
-    ordered_cells_of,
 )
 from .packing import (
     PackingBudget,
@@ -49,21 +37,18 @@ from .packing import (
 )
 from .pointsets import (
     AntipodalSet,
-    CellIndex,
     arc_augmented_set,
     cross_polytope_set,
     cross_polytope_vdiam_exact,
     evenly_spaced_circle_set,
     hausdorff_to_sphere_estimate,
     separation,
-    voronoi_cells_of,
     voronoi_diameter_estimate,
 )
 from .rng import RngStream
 from .voronoi_corr import (
     VoronoiCorrespondence,
     rpq_bound,
-    rpq_correspondents,
 )
 
 __version__ = "0.1.0"

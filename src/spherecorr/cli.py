@@ -24,7 +24,7 @@ from . import packing, serialize
 from .distortion import SearchBudget, estimate_distortion
 from .odd_corr import OddCircleCorrespondence
 from .rng import RngStream
-from .verify import SCOPES, run_verify
+from .verify import DEFAULT_SAMPLES, SCOPES, run_verify
 from .voronoi_corr import even_cross
 
 USAGE_ERROR = 2
@@ -98,7 +98,7 @@ def _single_k(text: str) -> int:
 def cmd_distortion(args) -> int:
     k = _single_k(args.k)
     if args.corr == "odd-rk":
-        corr, bound = OddCircleCorrespondence(k), (k - 1) * np.pi / k
+        corr, bound = OddCircleCorrespondence(k), packing.circle_to_sphere_exact(k)
     else:
         corr, bound = even_cross(k)
     report = estimate_distortion(
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = command("verify", cmd_verify, "run the numeric invariant suite")
     p_ver.add_argument("--scope", default="all", choices=SCOPES + ("all",))
     p_ver.add_argument("--k", default=None, help="k values for rpq/odd scopes (a..b allowed)")
-    p_ver.add_argument("--samples", type=int, default=20000)
+    p_ver.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
 
     p_table = command("table", cmd_table, "packing-driven asymptotic bound table", fmt="csv")
     p_table.add_argument("--n", type=int, required=True)

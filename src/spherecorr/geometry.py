@@ -1,16 +1,16 @@
 """Metric primitives on unit spheres and on the circle.
 
 Points on S^d are unit vectors in R^{d+1} with the geodesic metric
-d(x, y) = arccos<x, y>; the circle additionally gets an angular coordinate
-in [0, 2*pi) because all of the sphere-to-circle machinery works in angles.
-Every distance between two unit vectors comes from one row-wise kernel,
-:func:`geodesic_many`, which stays accurate at 0 and pi, where witnesses of
-the correspondences live.
+d(x, y) = arccos<x, y>; points of the circle are also plain angles in
+radians, because all of the sphere-to-circle machinery works in angles.
+Every query is row-wise over stacks of points: every distance between two
+unit vectors comes from one kernel, :func:`geodesic_many`, which stays
+accurate at 0 and pi, where witnesses of the correspondences live; its
+projective fold is :func:`projective_many` and the arc distance of angles
+:func:`circle_distance_many`.  A single point is a one-row case.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,61 +68,6 @@ class UnitVector:
         return f"UnitVector({self.coords.tolist()!r})"
 
 
-@dataclass(frozen=True)
-class CircleAngle:
-    """An angle on S^1, always reduced into [0, 2*pi)."""
-
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", reduce_angle(self.theta))
-
-    @classmethod
-    def from_vector(cls, x: UnitVector) -> "CircleAngle":
-        if x.dim != 1:
-            raise ValueError("only points of S^1 have an angular coordinate")
-        return cls(float(np.arctan2(x.coords[1], x.coords[0])))
-
-    def to_vector(self) -> UnitVector:
-        return UnitVector([np.cos(self.theta), np.sin(self.theta)])
-
-
-def reduce_angle(theta: float) -> float:
-    """Reduce an angle modulo 2*pi into [0, 2*pi)."""
-    t = float(np.mod(theta, TWO_PI))
-    # np.mod can return 2*pi itself for tiny negative inputs.
-    return 0.0 if t >= TWO_PI else t
-
-
-def _as_angle(a) -> float:
-    return a.theta if isinstance(a, CircleAngle) else reduce_angle(float(a))
-
-
-def geodesic_distance(x: UnitVector, y: UnitVector) -> float:
-    """Geodesic distance arccos<x, y> on the common sphere, in [0, pi].
-
-    One row of :func:`geodesic_many`, so it keeps full precision at
-    coincident and antipodal pairs.
-    """
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: S^{x.dim} vs S^{y.dim}")
-    return geodesic_accurate(x.coords, y.coords)
-
-
-def projective_distance(x: UnitVector, y: UnitVector) -> float:
-    """Distance arccos|<x, y>| between the lines through x and y, in [0, pi/2]."""
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: S^{x.dim} vs S^{y.dim}")
-    d = geodesic_accurate(x.coords, y.coords)
-    return min(d, np.pi - d)
-
-
-def circle_distance(a, b) -> float:
-    """Arc distance between two angles (CircleAngle or radians), in [0, pi]."""
-    d = abs(_as_angle(a) - _as_angle(b))
-    return float(min(d, TWO_PI - d))
-
-
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner products over the last axis, broadcasting over the leading axes.
 
@@ -156,24 +101,6 @@ def geodesic_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         angle = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * np.sqrt(row_dot(chord, chord))))
         out[near] = np.where(far_side[:, 0], np.pi - angle, angle)
     return out
-
-
-def geodesic_accurate(a: np.ndarray, b: np.ndarray) -> float:
-    """Geodesic distance of two unit coordinate vectors: the one-row case of
-    :func:`geodesic_many`, so both agree bitwise."""
-    return float(geodesic_many(a, b))
-
-
-def chord_length(x: UnitVector, y: UnitVector) -> float:
-    """Euclidean distance ||x - y|| between points of the same sphere."""
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: S^{x.dim} vs S^{y.dim}")
-    return float(np.linalg.norm(x.coords - y.coords))
-
-
-def sample_uniform(dim: int, rng: RngStream) -> UnitVector:
-    """One rotation-invariant uniform sample on S^dim."""
-    return UnitVector(sample_uniform_many(dim, 1, rng)[0])
 
 
 def sample_uniform_many(dim: int, count: int, rng: RngStream) -> np.ndarray:

@@ -12,6 +12,13 @@ The relation pairs every cell point with its image angle; points on cell
 boundaries get one correspondent per containing cell.  Its distortion equals
 (k-1)pi/k, attained on the boundary where the first and last ordered cells
 meet.
+
+Every query takes a stack of points: :meth:`OddCircleCorrespondence.variants_many`
+lists the cells and image angles of each row, :func:`cell_angles_many` maps
+rows into given cells, :func:`principal_cells_many` names the cell of each
+row's largest coordinate, and :func:`cyclic_shift` moves rows along the
+cyclic symmetry.  :func:`_cell_tables` is the one owner of the numbering of
+cells by (axis, sign).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 
 from . import geometry
 from .distortion import Correspondence, ElementBatch
-from .geometry import CircleAngle, UnitVector, circle_distance, reduce_angle
+from .geometry import UnitVector
 from .rng import RngStream
 
 CELL_TOL = 1e-9
@@ -34,73 +41,44 @@ def _check_k(k: int):
         raise ValueError(f"the ordered-cell correspondence needs odd k >= 3, got {k}")
 
 
+def _points_of(k: int, xs) -> np.ndarray:
+    """``xs`` as a float array whose rows are points of S^k."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape[-1] != k + 1:
+        raise ValueError(f"points live on S^{xs.shape[-1] - 1}, expected S^{k}")
+    return xs
+
+
 def cell_axis(k: int, m: int) -> int:
     """0-based distinguished coordinate of ordered cell m (1 <= m <= 2k+2)."""
     if not 1 <= m <= 2 * k + 2:
         raise ValueError(f"ordered cell index {m} out of range 1..{2 * k + 2}")
-    return (m - 1) % (k + 1)
-
-
-def cell_sign(k: int, m: int) -> int:
-    """Sign of the distinguished coordinate inside ordered cell m.
-
-    The first k+1 cells alternate +,-,+,...; the second half is the
-    antipodal image of the first, so its signs are the negations.
-    """
-    if not 1 <= m <= 2 * k + 2:
-        raise ValueError(f"ordered cell index {m} out of range 1..{2 * k + 2}")
-    if m <= k + 1:
-        return 1 if m % 2 == 1 else -1
-    return -cell_sign(k, m - (k + 1))
-
-
-def cell_from_axis_sign(k: int, axis: int, sign: int) -> int:
-    """Ordered cell index with the given 0-based axis and coordinate sign."""
-    parity = 1 if axis % 2 == 0 else -1
-    return axis + 1 if sign == parity else axis + 1 + (k + 1)
+    return int(_cell_tables(k)[0][m - 1])
 
 
 @lru_cache(maxsize=None)
-def _cell_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(axes, signs) arrays indexed by ordered cell m-1, for vectorized queries."""
+def _cell_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numbering of ordered cells by the axis and sign of their distinguished coordinate.
+
+    Returns ``(axes, signs, cells)``: the 0-based axis and the sign of cell m
+    at index m-1, and the inverse, ``cells[axis, sign > 0]``.  The first k+1
+    cells alternate +,-,+,... along the axes; the second half is the
+    antipodal image of the first, so its signs are the negations.
+    """
     ms = np.arange(1, 2 * k + 3)
     axes = (ms - 1) % (k + 1)
-    signs = np.array([cell_sign(k, int(m)) for m in ms])
-    return axes, signs
+    signs = np.where(axes % 2 == 0, 1, -1) * np.where(ms <= k + 1, 1, -1)
+    cells = np.empty((k + 1, 2), dtype=int)
+    cells[axes, (signs > 0).astype(int)] = ms
+    return axes, signs, cells
 
 
 def _cell_mask(k: int, coords: np.ndarray, tol: float) -> np.ndarray:
     """(..., 2k+2) mask of the ordered cells containing each row of ``coords``."""
-    axes, signs = _cell_tables(k)
+    axes, signs, _ = _cell_tables(k)
     vals = coords[..., axes]
     top = np.max(np.abs(coords), axis=-1, keepdims=True)
     return (signs * vals > 0) & (np.abs(vals) >= top - tol)
-
-
-def _cells_of_coords(k: int, coords: np.ndarray, tol: float) -> np.ndarray:
-    """1-based ordered cells containing the point ``coords``."""
-    return np.flatnonzero(_cell_mask(k, coords, tol)) + 1
-
-
-@dataclass(frozen=True)
-class OrderedCellId:
-    """Ordered signed Voronoi cell m of the cross-polytope in S^k (k odd)."""
-
-    m: int
-    k: int
-
-    def __post_init__(self):
-        _check_k(self.k)
-        if not 1 <= self.m <= 2 * self.k + 2:
-            raise ValueError(f"cell index {self.m} out of range 1..{2 * self.k + 2}")
-
-    @property
-    def axis(self) -> int:
-        return cell_axis(self.k, self.m)
-
-    @property
-    def sign(self) -> int:
-        return cell_sign(self.k, self.m)
 
 
 @dataclass(frozen=True)
@@ -120,29 +98,6 @@ class CircleInterval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    def contains(self, angle) -> bool:
-        theta = angle.theta if isinstance(angle, CircleAngle) else float(angle)
-        delta = reduce_angle(theta - self.lo)
-        return delta <= self.width + CELL_TOL or delta >= 2 * np.pi - CELL_TOL
-
-
-def ordered_cells_of(k: int, x: UnitVector) -> list[int]:
-    """All ordered cells containing x: sign matches and |x_axis| is maximal."""
-    _check_k(k)
-    if x.dim != k:
-        raise ValueError(f"point lives on S^{x.dim}, expected S^{k}")
-    return [int(m) for m in _cells_of_coords(k, x.coords, CELL_TOL)]
-
-
-def cell_angle(k: int, m: int, x: UnitVector) -> CircleAngle:
-    """Image angle of a point of ordered cell m; errors if x is outside m."""
-    _check_k(k)
-    if x.dim != k:
-        raise ValueError(f"point lives on S^{x.dim}, expected S^{k}")
-    if m not in _cells_of_coords(k, x.coords, CELL_TOL):
-        raise ValueError(f"point is not in ordered cell {m} within tolerance {CELL_TOL}")
-    return CircleAngle(float(cell_angles_many(k, x.coords[None, :], np.array([m]))[0]))
 
 
 def cell_angles_many(k: int, xs: np.ndarray, ms: np.ndarray) -> np.ndarray:
@@ -168,33 +123,29 @@ def cell_angles_many(k: int, xs: np.ndarray, ms: np.ndarray) -> np.ndarray:
 def principal_cells_many(k: int, xs: np.ndarray) -> np.ndarray:
     """For each row, the ordered cell of its largest-magnitude coordinate."""
     xs = np.asarray(xs, dtype=float)
-    rows = np.arange(xs.shape[0])
     axis = np.argmax(np.abs(xs), axis=1)
-    sign = np.where(xs[rows, axis] > 0, 1, -1)
-    parity = np.where(axis % 2 == 0, 1, -1)
-    return np.where(sign == parity, axis + 1, axis + 1 + (k + 1))
+    positive = xs[np.arange(xs.shape[0]), axis] > 0
+    return _cell_tables(k)[2][axis, positive.astype(int)]
 
 
-def circle_correspondents(k: int, x: UnitVector) -> list[CircleAngle]:
-    """All circle angles related to x, one per containing ordered cell."""
-    return [cell_angle(k, m, x) for m in ordered_cells_of(k, x)]
-
-
-def cyclic_shift(k: int, n: int, x: UnitVector) -> UnitVector:
-    """n-fold application of (x_1, ..., x_{k+1}) -> (x_{k+1}, -x_1, ..., -x_k).
+def cyclic_shift(k: int, n, xs: np.ndarray) -> np.ndarray:
+    """Rows of ``xs`` after n applications of (x_1, ..., x_{k+1}) -> (x_{k+1}, -x_1, ..., -x_k).
 
     An isometry of S^k that advances ordered cells by one step; k+1
-    applications give the antipodal map and 2k+2 the identity.
+    applications give the antipodal map and 2k+2 the identity.  ``n`` is one
+    count for every row or one count per row.  Coordinate i lands on
+    (i + n) mod (k+1), negated once per step that does not wrap it around.
     """
     _check_k(k)
-    if x.dim != k:
-        raise ValueError(f"point lives on S^{x.dim}, expected S^{k}")
-    if n < 0:
+    xs = _points_of(k, xs)
+    n = np.asarray(n)
+    if np.any(n < 0):
         raise ValueError("shift count must be nonnegative")
-    coords = x.coords.copy()
-    for _ in range(n % (2 * k + 2)):
-        coords = np.concatenate(([coords[-1]], -coords[:-1]))
-    return UnitVector(coords)
+    n = (n % (2 * k + 2))[..., None]
+    src = (np.arange(k + 1) - n) % (k + 1)
+    negate = (n - (src + n) // (k + 1)) % 2 == 1
+    shifted = np.take_along_axis(xs, np.broadcast_to(src, xs.shape), axis=-1)
+    return np.where(negate, -shifted, shifted)
 
 
 def case_reduction_pairs(k: int) -> list[tuple[int, int]]:
@@ -223,8 +174,9 @@ def sample_cell_boundary_many(k: int, m1: int, m2: int, count: int, rng: RngStre
     gen = rng.generator()
     g = gen.standard_normal((count, k + 1))
     top = np.max(np.abs(g), axis=1)
-    g[:, cell_axis(k, m1)] = cell_sign(k, m1) * top
-    g[:, cell_axis(k, m2)] = cell_sign(k, m2) * top
+    axes, signs, _ = _cell_tables(k)
+    g[:, axes[m1 - 1]] = signs[m1 - 1] * top
+    g[:, axes[m2 - 1]] = signs[m2 - 1] * top
     return geometry.normalize_rows(g)
 
 
@@ -239,7 +191,7 @@ def sample_in_ordered_cell_many(k: int, m, count: int, rng: RngStream) -> np.nda
     ms = np.broadcast_to(np.asarray(m, dtype=int), (count,))
     if np.any((ms < 1) | (ms > 2 * k + 2)):
         raise ValueError(f"ordered cell index out of range 1..{2 * k + 2}")
-    axes, signs = _cell_tables(k)
+    axes, signs, _ = _cell_tables(k)
     axis, sign = axes[ms - 1], signs[ms - 1]
     xs = geometry.sample_uniform_many(k, count, rng)
     rows = np.arange(count)
@@ -252,7 +204,7 @@ def sample_in_ordered_cell_many(k: int, m, count: int, rng: RngStream) -> np.nda
     return xs
 
 
-def max_distortion_witness(k: int) -> tuple[tuple[tuple[UnitVector, CircleAngle], tuple[UnitVector, CircleAngle]], float]:
+def max_distortion_witness(k: int) -> tuple[tuple[tuple[UnitVector, float], tuple[UnitVector, float]], float]:
     """A pair of relation elements realizing the full distortion (k-1)pi/k.
 
     The base point (1, 0, ..., 0, -1)/sqrt(2) lies on the boundary between
@@ -264,10 +216,9 @@ def max_distortion_witness(k: int) -> tuple[tuple[tuple[UnitVector, CircleAngle]
     coords[0] = 1.0
     coords[-1] = -1.0
     x = UnitVector(coords)
-    a1 = cell_angle(k, 1, x)
-    a2 = cell_angle(k, k + 1, x)
-    value = circle_distance(a1, a2)
-    return ((x, a1), (x, a2)), value
+    a1, a2 = cell_angles_many(k, np.stack([x.coords, x.coords]), np.array([1, k + 1]))
+    value = float(geometry.circle_distance_many(a1, a2))
+    return ((x, float(a1)), (x, float(a2))), value
 
 
 class OddCircleCorrespondence(Correspondence):
@@ -299,9 +250,9 @@ class OddCircleCorrespondence(Correspondence):
         )
 
     def variants_many(self, side, frees):
-        frees = np.asarray(frees, dtype=float)
+        frees = _points_of(self.k, frees)
         owner, cells = np.nonzero(_cell_mask(self.k, frees, CELL_TOL))
-        axes, _ = _cell_tables(self.k)
+        axes = _cell_tables(self.k)[0]
         xs = frees[owner]
         edges = np.abs(xs[np.arange(len(cells)), axes[cells]])
         # A point admitted through the tolerance lies slightly outside its

@@ -7,12 +7,16 @@ vertices, cross-polytope vertices augmented with arc points) and answers
 separation, cell-membership, Voronoi-diameter, and covering queries.
 Separation and the covering radius are exact; the Voronoi diameter is exact
 on S^1 and a sampled, hill-climbed lower estimate elsewhere.
+
+Cells are numbered by the columns of :meth:`AntipodalSet.points`: column i < m
+is the cell of representative i, column i + m that of its negative, so the
+antipodal cell of column i is column (i + m) mod 2m.  Membership is one batch
+query, :func:`cell_mask`, over a stack of points.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,31 +31,6 @@ CELL_TOL = 1e-9
 
 # Construction-time guard against coincident points.
 COINCIDENCE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CellIndex:
-    """Identifier of a signed Voronoi cell.
-
-    ``linear`` runs 1..2m; values up to m name the cells of the
-    representatives, values above m the cells of their negatives.
-    """
-
-    linear: int
-    rep_index: int
-    sign: int
-
-    @classmethod
-    def from_linear(cls, linear: int, m: int) -> "CellIndex":
-        if not 1 <= linear <= 2 * m:
-            raise ValueError(f"linear cell index {linear} out of range 1..{2 * m}")
-        if linear <= m:
-            return cls(linear, linear, 1)
-        return cls(linear, linear - m, -1)
-
-    def antipode(self, m: int) -> "CellIndex":
-        shifted = (self.linear + m - 1) % (2 * m) + 1
-        return CellIndex.from_linear(shifted, m)
 
 
 class AntipodalSet:
@@ -244,14 +223,6 @@ def cell_mask(aset: AntipodalSet, xs: np.ndarray) -> np.ndarray:
     """(rows, 2m) mask of the cells whose site distance is within ``CELL_TOL`` of each row's minimum."""
     dists = aset.site_distances(xs)
     return dists <= dists.min(axis=1, keepdims=True) + CELL_TOL
-
-
-def voronoi_cells_of(aset: AntipodalSet, x: UnitVector) -> list[CellIndex]:
-    """All cells whose site distance is within ``CELL_TOL`` of the minimum."""
-    if x.dim != aset.dim:
-        raise ValueError(f"dimension mismatch: point on S^{x.dim}, set on S^{aset.dim}")
-    hits = np.flatnonzero(cell_mask(aset, x.coords[None]))
-    return [CellIndex.from_linear(int(i) + 1, aset.m) for i in hits]
 
 
 def sample_in_cell(

@@ -15,12 +15,14 @@ import numpy as np
 
 from . import geometry, odd_corr, packing, pointsets
 from .distortion import SearchBudget, estimate_distortion
-from .geometry import UnitVector
 from .odd_corr import OddCircleCorrespondence, cell_angles_many
 from .rng import RngStream
-from .voronoi_corr import even_cross, rpq_correspondents
+from .voronoi_corr import even_cross
 
 SCOPES = ("geometry", "pointsets", "rpq", "odd", "packing")
+
+# Default sample budget of a verify run, for the library and the CLI.
+DEFAULT_SAMPLES = 20000
 
 
 @dataclass
@@ -191,15 +193,9 @@ def check_pointsets(samples: int, rng: RngStream, threads=None) -> list[Invarian
 
     cp = pointsets.cross_polytope_set(3)
     xs = geometry.sample_uniform_many(3, max(200, samples // 100), rng.child(0))
-    equiv_bad = 0
-    for row in xs:
-        cells = {c.linear for c in pointsets.voronoi_cells_of(cp, UnitVector(row))}
-        flipped = {
-            c.antipode(cp.m).linear
-            for c in pointsets.voronoi_cells_of(cp, UnitVector(-row))
-        }
-        if cells != flipped:
-            equiv_bad += 1
+    # the antipodal cell of column i is column (i + m) mod 2m
+    flipped = np.roll(pointsets.cell_mask(cp, -xs), cp.m, axis=1)
+    equiv_bad = int(np.sum(np.any(pointsets.cell_mask(cp, xs) != flipped, axis=1)))
     out.append(
         _result(
             "voronoi-antipode-equivariance", "pointsets", float(equiv_bad), 0.0,
@@ -338,15 +334,13 @@ def check_rpq(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
 
     # Antipodal equivariance of correspondent queries.
     corr, _ = even_cross(3)
-    bad = 0
-    for row in geometry.sample_uniform_many(3, 100, rng.child(200)):
-        ups = {tuple(np.round(u.coords, 9)) for u in rpq_correspondents(corr, UnitVector(row), "high")}
-        downs = {
-            tuple(np.round(-u.coords, 9))
-            for u in rpq_correspondents(corr, UnitVector(-row), "high")
-        }
-        if ups != downs:
-            bad += 1
+    ys = geometry.sample_uniform_many(3, 100, rng.child(200))
+    ups, up_owner = corr.variants_many(1, ys)
+    downs, down_owner = corr.variants_many(1, -ys)
+    # (row, rounded correspondent) pairs; a row is bad if its two sets differ
+    up = {(int(i), tuple(np.round(a, 9))) for i, a in zip(up_owner, ups.a)}
+    down = {(int(i), tuple(np.round(-a, 9))) for i, a in zip(down_owner, downs.a)}
+    bad = len({i for i, _ in up ^ down})
     out.append(
         _result(
             "correspondent-equivariance", "rpq", float(bad), 0.0,
@@ -366,17 +360,9 @@ def cyclic_shift_violation(k: int, count: int, rng: RngStream) -> float:
     ms = odd_corr.principal_cells_many(k, xs)
     base = cell_angles_many(k, xs, ms)
     ns = rng.child(1).generator().integers(0, 2 * k + 2, size=count)
-    worst = 0.0
-    shifted = xs.copy()
-    for n in range(2 * k + 2):
-        rows = np.flatnonzero(ns == n)
-        if rows.size:
-            m_new = (ms[rows] + n - 1) % (2 * k + 2) + 1
-            lhs = cell_angles_many(k, shifted[rows], m_new)
-            rhs = base[rows] + n * np.pi / (k + 1)
-            worst = max(worst, float(np.max(geometry.circle_distance_many(lhs, rhs))))
-        shifted = np.concatenate([shifted[:, -1:], -shifted[:, :-1]], axis=1)
-    return worst
+    lhs = cell_angles_many(k, odd_corr.cyclic_shift(k, ns, xs), (ms + ns - 1) % (2 * k + 2) + 1)
+    rhs = base + ns * np.pi / (k + 1)
+    return float(np.max(geometry.circle_distance_many(lhs, rhs)))
 
 
 def z2_violation(k: int, count: int, rng: RngStream) -> float:
@@ -424,20 +410,21 @@ CORNER_K3 = (((0.5, -0.5, 0.5, 0.5), (-1, 7, 11, 43)), ((-0.5, 0.5, -0.5, -0.5),
 
 def corner_correspondent_error(coords, twenty_fourths) -> float:
     """Worst circle distance from the k = 3 correspondents of ``coords`` to the expected angles."""
-    got = sorted(a.theta for a in odd_corr.circle_correspondents(3, UnitVector(coords)))
-    want = sorted(t * np.pi / 24 % (2 * np.pi) for t in twenty_fourths)
-    return max(map(geometry.circle_distance, got, want)) if len(got) == len(want) else np.inf
+    batch, _ = OddCircleCorrespondence(3).variants_many(0, np.array([coords]))
+    got = np.sort(batch.b)
+    want = np.sort(np.array(twenty_fourths) * np.pi / 24 % (2 * np.pi))
+    return float(np.max(geometry.circle_distance_many(got, want))) if len(got) == len(want) else np.inf
 
 
 def odd_witness_error(k: int) -> float:
     """Distance of the boundary witness's objective from (k-1)pi/k."""
     _, value = odd_corr.max_distortion_witness(k)
-    return abs(value - (k - 1) * np.pi / k)
+    return abs(value - packing.circle_to_sphere_exact(k))
 
 
 def odd_window_violation(k: int, estimate: float) -> float:
     """How far ``estimate`` lies outside [(k-1)pi/k - 0.02, (k-1)pi/k + 1e-6]; <= 0 inside."""
-    target = (k - 1) * np.pi / k
+    target = packing.circle_to_sphere_exact(k)
     return max(target - 0.02 - estimate, estimate - target - 1e-6)
 
 
@@ -587,7 +574,7 @@ def check_odd(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
             OddCircleCorrespondence(k),
             SearchBudget(samples=max(30000, samples), refine_iters=80),
             rng.child(250 + k),
-            bound=(k - 1) * np.pi / k,
+            bound=packing.circle_to_sphere_exact(k),
             threads=threads,
         )
         worst = max(worst, odd_window_violation(k, rep.estimate))
@@ -653,7 +640,7 @@ def check_packing(rng: RngStream) -> list[InvariantResult]:
 def run_verify(
     scope: str,
     k_values=None,
-    samples: int = 20000,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     threads: int | None = None,
 ) -> list[InvariantResult]:

@@ -7,7 +7,8 @@ P and vice versa.  The distortion of the resulting relation is at most
     max( vdiam(P), pi - sep(P), vdiam(Q), pi - sep(Q) ),
 
 which is the quantity :func:`rpq_bound` evaluates.  The relation itself is a
-continuum and is exposed only through correspondent queries and samplers.
+continuum and is exposed only through the batch correspondent query
+:meth:`VoronoiCorrespondence.variants_many` and the samplers.
 """
 
 from __future__ import annotations
@@ -16,14 +17,11 @@ import numpy as np
 
 from . import geometry, pointsets
 from .distortion import Correspondence, ElementBatch
-from .geometry import UnitVector
 from .pointsets import AntipodalSet
-
-LOW, HIGH = "low", "high"
 
 
 class VoronoiCorrespondence(Correspondence):
-    """Cell-collapse relation between S^n (side ``low``) and S^k (side ``high``).
+    """Cell-collapse relation between S^n (the low sphere) and S^k (the high sphere).
 
     Relation elements are tracked by their free point: either a point of the
     low sphere (side 0) paired with the site of a containing cell of Q, or a
@@ -127,7 +125,7 @@ class VoronoiCorrespondence(Correspondence):
 
 
 # ---------------------------------------------------------------------------
-# Module-level queries matching the correspondence contract
+# Bounds
 # ---------------------------------------------------------------------------
 
 def rpq_bound(
@@ -156,24 +154,3 @@ def even_cross(k: int) -> tuple[VoronoiCorrespondence, float]:
     )
     return corr, rpq_bound(corr, np.pi / (k + 1), pointsets.cross_polytope_vdiam_exact(k))
 
-
-def rpq_correspondents(
-    corr: VoronoiCorrespondence, point: UnitVector, side: str
-) -> list[UnitVector]:
-    """Site correspondents of ``point``: the signed sites of its cells.
-
-    side ``low``: point lives on S^n and maps to sites of Q; side ``high``:
-    point lives on S^k and maps to sites of P.  Boundary points return one
-    correspondent per tied cell.
-    """
-    if side == LOW:
-        if point.dim != corr.P.dim:
-            raise ValueError(f"low-side point must live on S^{corr.P.dim}")
-        cells = pointsets.voronoi_cells_of(corr.P, point)
-        return [UnitVector(corr.Q.points()[c.linear - 1]) for c in cells]
-    if side == HIGH:
-        if point.dim != corr.Q.dim:
-            raise ValueError(f"high-side point must live on S^{corr.Q.dim}")
-        cells = pointsets.voronoi_cells_of(corr.Q, point)
-        return [UnitVector(corr.P.points()[c.linear - 1]) for c in cells]
-    raise ValueError(f"side must be '{LOW}' or '{HIGH}', got {side!r}")

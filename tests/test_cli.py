@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from spherecorr import PackingBudget, RngStream, SearchBudget, optimize_packing
 from spherecorr.cli import build_parser, main, parse_k_range
 from spherecorr.serialize import dumps
+from spherecorr.verify import run_verify
 
 
 @pytest.fixture(autouse=True)
@@ -207,6 +209,24 @@ def test_verify_bytes_are_pinned(capsys):
     code, out = run_cli(capsys, "verify", "--scope", "all", "--seed", "0", "--threads", "2")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == "95ecb03f7b05a467884f1dba83716a24b0af83a34bd057f0f681a4e7bc2fcf96"
+
+
+@pytest.mark.parametrize("corr, k, digest", [
+    ("odd-rk", 3, "1cb2f60d6d1c78a57605357887ee258e699651f86b964818d35bd63889663bc6"),
+    ("odd-rk", 5, "987a8136a5767032baa379ddb95b5c3b3de5d658d3817651d892f06d3d7320fc"),
+    ("rpq-even-cross", 4, "98c65f17995ca94475b38f520384145fdc84e8b4d38b891233b1cb911ef47758"),
+])
+def test_distortion_bytes_are_pinned(capsys, corr, k, digest):
+    # the estimate, its witness and the printed bound: a change to a cell table,
+    # an angle map or a distance kernel that moves one of them fails here
+    code, out = run_cli(capsys, "distortion", "--corr", corr, "--k", str(k), "--samples", "65536", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_samples_default_is_the_library_default():
+    args = build_parser().parse_args(["verify"])
+    assert args.samples == inspect.signature(run_verify).parameters["samples"].default
 
 
 @pytest.mark.parametrize("flag", [("--format", "csv"), ("--refine-iters", "5"), ("--restarts", "2")])

@@ -3,29 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherecorr import (
-    CircleAngle,
-    RngStream,
-    UnitVector,
-    chord_length,
-    circle_distance,
-    geodesic_distance,
-    projective_distance,
-)
+from spherecorr import RngStream, UnitVector
 from spherecorr.geometry import (
     HALF_CHORD_COS,
+    circle_distance_many,
     clip_cosine,
-    geodesic_accurate,
     geodesic_many,
     normalize_rows,
     projective_many,
-    reduce_angle,
     row_dot,
     sample_uniform_many,
 )
 
-E1 = UnitVector([1, 0, 0])
-E2 = UnitVector([0, 1, 0])
+E1 = UnitVector([1, 0, 0]).coords
+E2 = UnitVector([0, 1, 0]).coords
 
 
 def test_constructor_normalizes():
@@ -44,63 +35,49 @@ def test_constructor_rejects_bad_input():
 
 
 def test_geodesic_basic_values():
-    assert geodesic_distance(E1, E1.antipode()) == pytest.approx(np.pi, abs=1e-15)
-    assert geodesic_distance(E1, E2) == pytest.approx(np.pi / 2, abs=1e-15)
+    assert geodesic_many(E1, -E1) == pytest.approx(np.pi, abs=1e-15)
+    assert geodesic_many(E1, E2) == pytest.approx(np.pi / 2, abs=1e-15)
 
 
 def test_geodesic_simplex_corner_pair():
     # both cell corners of the cross-polytope cell in S^3: angle arccos(-1/2)
-    x = UnitVector([1, 1, 1, 1])
-    y = UnitVector([1, -1, -1, -1])
-    assert geodesic_distance(x, y) == pytest.approx(np.arccos(-0.5), abs=1e-12)
-    assert geodesic_distance(x, y) == pytest.approx(2 * np.pi / 3, abs=1e-12)
+    x = UnitVector([1, 1, 1, 1]).coords
+    y = UnitVector([1, -1, -1, -1]).coords
+    assert geodesic_many(x, y) == pytest.approx(np.arccos(-0.5), abs=1e-12)
+    assert geodesic_many(x, y) == pytest.approx(2 * np.pi / 3, abs=1e-12)
 
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        geodesic_distance(E1, UnitVector([1, 0]))
+        geodesic_many(E1, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        projective_distance(E1, UnitVector([1, 0]))
+        projective_many(E1, np.array([1.0, 0.0]))
 
 
 def test_projective_values():
-    assert projective_distance(E1, E1.antipode()) == 0.0
-    assert projective_distance(E1, E2) == pytest.approx(np.pi / 2, abs=1e-15)
-    diag = UnitVector([1, 1, 0])
+    assert projective_many(E1, -E1) == 0.0
+    assert projective_many(E1, E2) == pytest.approx(np.pi / 2, abs=1e-15)
+    diag = UnitVector([1, 1, 0]).coords
     # direct evaluation: arccos(1/sqrt(2))
-    assert projective_distance(E1, diag) == pytest.approx(np.arccos(1 / np.sqrt(2)), abs=1e-12)
-    assert projective_distance(E1, diag) == pytest.approx(np.pi / 4, abs=1e-12)
+    assert projective_many(E1, diag) == pytest.approx(np.arccos(1 / np.sqrt(2)), abs=1e-12)
+    assert projective_many(E1, diag) == pytest.approx(np.pi / 4, abs=1e-12)
 
 
 def test_circle_distance_values():
-    assert circle_distance(CircleAngle(0.0), CircleAngle(np.pi)) == pytest.approx(np.pi, abs=1e-15)
+    assert circle_distance_many(0.0, np.pi) == pytest.approx(np.pi, abs=1e-15)
     # direct arithmetic on the worked corner angles
-    assert circle_distance(-np.pi / 24, 43 * np.pi / 24) == pytest.approx(np.pi / 6, abs=1e-12)
-    assert circle_distance(7 * np.pi / 24, 35 * np.pi / 24) == pytest.approx(5 * np.pi / 6, abs=1e-12)
+    assert circle_distance_many(-np.pi / 24, 43 * np.pi / 24) == pytest.approx(np.pi / 6, abs=1e-12)
+    assert circle_distance_many(7 * np.pi / 24, 35 * np.pi / 24) == pytest.approx(5 * np.pi / 6, abs=1e-12)
 
 
 @given(st.floats(-50, 50), st.floats(-50, 50))
 @settings(max_examples=200, deadline=None)
 def test_circle_distance_properties(a, b):
-    d = circle_distance(a, b)
+    d = circle_distance_many(a, b)
     assert 0.0 <= d <= np.pi + 1e-12
-    assert d == pytest.approx(circle_distance(b, a), abs=1e-12)
+    assert d == pytest.approx(circle_distance_many(b, a), abs=1e-12)
     # invariant under full turns of either argument
-    assert circle_distance(a + 2 * np.pi, b) == pytest.approx(d, abs=1e-9)
-
-
-@given(st.floats(-100, 100))
-@settings(max_examples=200, deadline=None)
-def test_reduce_angle_range(theta):
-    t = reduce_angle(theta)
-    assert 0.0 <= t < 2 * np.pi
-    assert circle_distance(t, theta) <= 1e-9
-
-
-def test_circle_angle_vector_roundtrip():
-    for theta in (0.0, 1.0, np.pi, 5.5):
-        back = CircleAngle.from_vector(CircleAngle(theta).to_vector())
-        assert circle_distance(back, theta) <= 1e-12
+    assert circle_distance_many(a + 2 * np.pi, b) == pytest.approx(d, abs=1e-9)
 
 
 def test_triangle_inequality_random_triples():
@@ -108,49 +85,39 @@ def test_triangle_inequality_random_triples():
     xs = sample_uniform_many(4, 3000, rng.child(0))
     ys = sample_uniform_many(4, 3000, rng.child(1))
     zs = sample_uniform_many(4, 3000, rng.child(2))
-    for i in range(0, 3000, 7):
-        x, y, z = UnitVector(xs[i]), UnitVector(ys[i]), UnitVector(zs[i])
-        assert geodesic_distance(x, z) <= geodesic_distance(x, y) + geodesic_distance(y, z) + 1e-12
+    excess = geodesic_many(xs, zs) - geodesic_many(xs, ys) - geodesic_many(ys, zs)
+    assert np.max(excess) <= 1e-12
 
 
 def test_antipodal_invariance_exact():
     rng = RngStream(12)
     xs = sample_uniform_many(3, 500, rng.child(0))
     ys = sample_uniform_many(3, 500, rng.child(1))
-    for i in range(500):
-        x, y = UnitVector(xs[i]), UnitVector(ys[i])
-        assert geodesic_distance(x.antipode(), y.antipode()) == geodesic_distance(x, y)
+    assert np.array_equal(geodesic_many(-xs, -ys), geodesic_many(xs, ys))
 
 
 def test_projective_equals_folded_geodesic():
     rng = RngStream(13)
     xs = sample_uniform_many(5, 400, rng.child(0))
     ys = sample_uniform_many(5, 400, rng.child(1))
-    for i in range(400):
-        x, y = UnitVector(xs[i]), UnitVector(ys[i])
-        d = geodesic_distance(x, y)
-        assert projective_distance(x, y) == pytest.approx(min(d, np.pi - d), abs=1e-12)
-        assert projective_distance(x.antipode(), y) == pytest.approx(
-            projective_distance(x, y), abs=1e-15
-        )
+    d = geodesic_many(xs, ys)
+    proj = projective_many(xs, ys)
+    assert np.max(np.abs(proj - np.minimum(d, np.pi - d))) <= 1e-12
+    assert np.max(np.abs(projective_many(-xs, ys) - proj)) <= 1e-15
 
 
 def test_chord_identity():
     rng = RngStream(14)
     xs = sample_uniform_many(3, 400, rng.child(0))
     ys = sample_uniform_many(3, 400, rng.child(1))
-    for i in range(400):
-        x, y = UnitVector(xs[i]), UnitVector(ys[i])
-        d = geodesic_distance(x, y)
-        assert 2 * np.sin(d / 2) == pytest.approx(chord_length(x, y), abs=1e-12)
+    d = geodesic_many(xs, ys)
+    assert np.max(np.abs(2 * np.sin(d / 2) - np.linalg.norm(xs - ys, axis=1))) <= 1e-12
 
 
 def test_circle_distance_matches_embedded_geodesic():
-    gen = RngStream(15).generator()
-    for _ in range(400):
-        a, b = gen.uniform(0, 2 * np.pi, 2)
-        emb = geodesic_distance(CircleAngle(a).to_vector(), CircleAngle(b).to_vector())
-        assert circle_distance(a, b) == pytest.approx(emb, abs=1e-12)
+    a, b = RngStream(15).generator().uniform(0, 2 * np.pi, (2, 400))
+    emb = geodesic_many(np.column_stack([np.cos(a), np.sin(a)]), np.column_stack([np.cos(b), np.sin(b)]))
+    assert np.max(np.abs(circle_distance_many(a, b) - emb)) <= 1e-12
 
 
 ENDPOINT_ANGLES = [0.0, 1e-12, 1e-9, 1e-6, np.pi / 2, np.pi - 1e-9, np.pi - 1e-12, np.pi]
@@ -164,15 +131,15 @@ def plane_rows(angles):
 
 def test_geodesic_accurate_endpoints():
     x = np.array([1.0, 0.0, 0.0])
-    assert geodesic_accurate(x, x) == 0.0
-    assert geodesic_accurate(x, -x) == pytest.approx(np.pi, abs=1e-15)
+    assert geodesic_many(x, x) == 0.0
+    assert geodesic_many(x, -x) == pytest.approx(np.pi, abs=1e-15)
     y = np.array([np.cos(1e-9), np.sin(1e-9), 0.0])
-    assert geodesic_accurate(x, y) == pytest.approx(1e-9, rel=1e-6)
+    assert geodesic_many(x, y) == pytest.approx(1e-9, rel=1e-6)
     a, b = plane_rows(ENDPOINT_ANGLES)
     batch = geodesic_many(a, b)
     for i, t in enumerate(ENDPOINT_ANGLES):
         assert abs(batch[i] - t) <= 1e-15
-        assert abs(geodesic_accurate(a[i], b[i]) - t) <= 1e-15
+        assert abs(geodesic_many(a[i], b[i]) - t) <= 1e-15
 
 
 def mixed_rows(count, seed):
@@ -193,9 +160,9 @@ def test_geodesic_rows_are_batch_independent():
     table = geodesic_many(xs[:, None, :], ys[:7])
     for i in range(300):
         assert geodesic_many(xs[i : i + 1], ys[i : i + 1])[0] == batch[i]
-        assert geodesic_accurate(xs[i], ys[i]) == batch[i]
+        assert geodesic_many(xs[i], ys[i]) == batch[i]
         for j in range(7):
-            assert table[i, j] == geodesic_accurate(xs[i], ys[j])
+            assert table[i, j] == geodesic_many(xs[i], ys[j])
 
 
 @pytest.mark.parametrize("rows", ["plane", "mixed"])

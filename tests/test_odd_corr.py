@@ -4,118 +4,115 @@ import pytest
 from spherecorr import (
     CircleInterval,
     OddCircleCorrespondence,
-    OrderedCellId,
     RngStream,
     UnitVector,
     case_reduction_pairs,
-    cell_angle,
-    circle_correspondents,
-    circle_distance,
     cyclic_shift,
-    geodesic_distance,
     max_distortion_witness,
-    ordered_cells_of,
 )
 from spherecorr import odd_corr
 from spherecorr.distortion import ElementBatch, _objectives
-from spherecorr.geometry import sample_uniform_many
+from spherecorr.geometry import circle_distance_many, geodesic_many, sample_uniform_many
+from spherecorr.pointsets import cell_mask, cross_polytope_set
 
 PI24 = np.pi / 24
 
-CORNER = UnitVector([0.5, -0.5, 0.5, 0.5])
+CORNER = UnitVector([0.5, -0.5, 0.5, 0.5]).coords
+
+
+def cells_of(k, xs):
+    """(rows, 2k+2) mask of the ordered cells containing each row, within the membership slack."""
+    return odd_corr._cell_mask(k, np.asarray(xs, dtype=float), odd_corr.CELL_TOL)
+
+
+def ordered_cells(k, x):
+    """1-based ordered cells of one point, in order."""
+    return (np.flatnonzero(cells_of(k, x)) + 1).tolist()
+
+
+def correspondents(k, x):
+    """Circle angles related to one point, one per containing ordered cell."""
+    batch, _ = OddCircleCorrespondence(k).variants_many(0, np.atleast_2d(x))
+    return batch.b
 
 
 def angles_close(got, expected, tol=1e-12):
-    got = sorted(a.theta if hasattr(a, "theta") else a for a in got)
-    expected = sorted(t % (2 * np.pi) for t in expected)
+    got = np.sort(got)
+    expected = np.sort(np.mod(expected, 2 * np.pi))
     assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        assert circle_distance(g, e) <= tol
+    assert np.max(circle_distance_many(got, expected)) <= tol
 
 
 # -- cell identification ----------------------------------------------------
 
 def test_cell_sign_sequence_k3():
-    signs = [odd_corr.cell_sign(3, m) for m in range(1, 9)]
-    assert signs == [1, -1, 1, -1, -1, 1, -1, 1]
+    _, signs, _ = odd_corr._cell_tables(3)
+    assert signs.tolist() == [1, -1, 1, -1, -1, 1, -1, 1]
 
 
 def test_ordered_cells_of_corner():
-    assert ordered_cells_of(3, CORNER) == [1, 2, 3, 8]
-    assert ordered_cells_of(3, CORNER.antipode()) == [4, 5, 6, 7]
-    assert ordered_cells_of(3, UnitVector([1, 0, 0, 0])) == [1]
+    assert ordered_cells(3, CORNER) == [1, 2, 3, 8]
+    assert ordered_cells(3, -CORNER) == [4, 5, 6, 7]
+    assert ordered_cells(3, [1, 0, 0, 0]) == [1]
 
 
 def test_ordered_cells_rejects_bad_k():
     with pytest.raises(ValueError):
-        ordered_cells_of(4, UnitVector([1, 0, 0, 0, 0]))
-    with pytest.raises(ValueError):
-        ordered_cells_of(3, UnitVector([1, 0, 0]))
+        OddCircleCorrespondence(4)
+    for coords in ([1.0, 0, 0], [1.0, 0, 0, 0, 0, 0]):
+        with pytest.raises(ValueError):
+            correspondents(3, coords)
 
 
 def test_ordered_cell_id_decoding():
-    cell = OrderedCellId(8, 3)
-    assert cell.axis == 3 and cell.sign == 1
-    cell = OrderedCellId(4, 3)
-    assert cell.axis == 3 and cell.sign == -1
-    with pytest.raises(ValueError):
-        OrderedCellId(9, 3)
-    with pytest.raises(ValueError):
-        OrderedCellId(1, 4)
+    axes, signs, cells = odd_corr._cell_tables(3)
+    assert (axes[7], signs[7]) == (3, 1)
+    assert (axes[3], signs[3]) == (3, -1)
+    # principal_cells_many inverts the table: the signed basis vector of cell m lies in m
+    for k in (3, 5, 7):
+        axes, signs, cells = odd_corr._cell_tables(k)
+        ms = np.arange(1, 2 * k + 3)
+        assert np.array_equal(cells[axes, (signs > 0).astype(int)], ms)
+        assert np.array_equal(odd_corr.principal_cells_many(k, signs[:, None] * np.eye(k + 1)[axes]), ms)
 
 
 def test_cells_match_voronoi_translation():
-    # ordered cells agree with the plain Voronoi query under index translation
-    from spherecorr import cross_polytope_set, voronoi_cells_of
-
+    # ordered cells agree with the plain Voronoi query under index translation:
+    # Voronoi column i is the cell of site i, which lies in ordered cell principal(site i)
     cp = cross_polytope_set(3)
-    for row in sample_uniform_many(3, 200, RngStream(2)):
-        x = UnitVector(row)
-        ordered = set(ordered_cells_of(3, x))
-        translated = set()
-        for c in voronoi_cells_of(cp, x):
-            translated.add(odd_corr.cell_from_axis_sign(3, c.rep_index - 1, c.sign))
-        assert ordered == translated
+    xs = sample_uniform_many(3, 200, RngStream(2))
+    translated = np.zeros((len(xs), 8), dtype=bool)
+    translated[:, odd_corr.principal_cells_many(3, cp.points()) - 1] = cell_mask(cp, xs)
+    assert np.array_equal(cells_of(3, xs), translated)
 
 
 # -- the cell-to-angle maps -------------------------------------------------
 
 def test_corner_angles_match_worked_example():
-    assert cell_angle(3, 1, CORNER).theta == pytest.approx((-PI24) % (2 * np.pi), abs=1e-12)
-    assert cell_angle(3, 2, CORNER).theta == pytest.approx(7 * PI24, abs=1e-12)
-    assert cell_angle(3, 3, CORNER).theta == pytest.approx(11 * PI24, abs=1e-12)
-    assert cell_angle(3, 8, CORNER).theta == pytest.approx(43 * PI24, abs=1e-12)
-    anti = CORNER.antipode()
-    assert cell_angle(3, 4, anti).theta == pytest.approx(19 * PI24, abs=1e-12)
-    assert cell_angle(3, 5, anti).theta == pytest.approx(23 * PI24, abs=1e-12)
-    assert cell_angle(3, 6, anti).theta == pytest.approx(31 * PI24, abs=1e-12)
-    assert cell_angle(3, 7, anti).theta == pytest.approx(35 * PI24, abs=1e-12)
-
-
-def test_cell_angle_membership_error_names_cell():
-    with pytest.raises(ValueError, match="cell 4"):
-        cell_angle(3, 4, CORNER)
+    angles = odd_corr.cell_angles_many(3, np.array([CORNER] * 4), np.array([1, 2, 3, 8]))
+    assert np.allclose(angles, np.array([-1, 7, 11, 43]) * PI24 % (2 * np.pi), rtol=0, atol=1e-12)
+    anti = odd_corr.cell_angles_many(3, np.array([-CORNER] * 4), np.array([4, 5, 6, 7]))
+    assert np.allclose(anti, np.array([19, 23, 31, 35]) * PI24, rtol=0, atol=1e-12)
 
 
 def test_correspondents_of_corner():
     angles_close(
-        circle_correspondents(3, CORNER),
+        correspondents(3, CORNER),
         [-PI24, 7 * PI24, 11 * PI24, 43 * PI24],
     )
     angles_close(
-        circle_correspondents(3, CORNER.antipode()),
+        correspondents(3, -CORNER),
         [19 * PI24, 23 * PI24, 31 * PI24, 35 * PI24],
     )
 
 
 def test_site_maps_to_interval_center():
-    angles_close(circle_correspondents(3, UnitVector([1, 0, 0, 0])), [0.0])
+    angles_close(correspondents(3, [1.0, 0, 0, 0]), [0.0])
 
 
 def test_curve_corner_gives_six_equally_spaced():
-    x = UnitVector([0.5, 0.5, 0.5, 0.5])
-    both = [a.theta for a in circle_correspondents(3, x)]
-    both += [a.theta for a in circle_correspondents(3, x.antipode())]
+    x = UnitVector([0.5, 0.5, 0.5, 0.5]).coords
+    both = np.concatenate([correspondents(3, x), correspondents(3, -x)])
     distinct = sorted({round(t % (2 * np.pi), 9) for t in both})
     assert len(distinct) == 6
     gaps = np.diff(distinct + [distinct[0] + 2 * np.pi])
@@ -131,8 +128,9 @@ def test_angles_confined_to_intervals():
             rows = np.flatnonzero(ms == m)
             interval = CircleInterval.of_cell(k, m)
             assert interval.width == pytest.approx(np.pi / (k + 1), abs=1e-15)
-            for t in angles[rows]:
-                assert interval.contains(t)
+            # offset past the interval's start, measured the short way round at its start
+            delta = np.mod(angles[rows] - interval.lo, 2 * np.pi)
+            assert np.all((delta <= interval.width + 1e-9) | (delta >= 2 * np.pi - 1e-9))
 
 
 def test_intervals_tile_circle():
@@ -147,41 +145,43 @@ def test_intervals_tile_circle():
 # -- symmetries --------------------------------------------------------------
 
 def test_cyclic_shift_basics():
-    e1 = UnitVector([1, 0, 0, 0])
-    assert np.allclose(cyclic_shift(3, 1, e1).coords, [0, -1, 0, 0], atol=0)
-    for row in sample_uniform_many(3, 20, RngStream(5)):
-        x = UnitVector(row)
-        assert np.allclose(cyclic_shift(3, 4, x).coords, -x.coords, atol=0)
-        assert np.allclose(cyclic_shift(3, 8, x).coords, x.coords, atol=0)
+    assert np.array_equal(cyclic_shift(3, 1, [1.0, 0, 0, 0]), [0, -1, 0, 0])
+    xs = sample_uniform_many(3, 20, RngStream(5))
+    assert np.array_equal(cyclic_shift(3, 4, xs), -xs)
+    assert np.array_equal(cyclic_shift(3, 8, xs), xs)
+    # one count per row is each row shifted alone, and n applications of one step
+    ns = np.arange(20) % 9
+    one = xs.copy()
+    for n in range(9):
+        assert np.array_equal(cyclic_shift(3, ns, xs)[ns == n], one[ns == n])
+        one = cyclic_shift(3, 1, one)
+    with pytest.raises(ValueError):
+        cyclic_shift(3, -1, xs)
+    with pytest.raises(ValueError):
+        cyclic_shift(3, 1, xs[:, :3])
 
 
 def test_cyclic_shift_is_isometry_and_advances_cells():
-    for row in sample_uniform_many(3, 50, RngStream(6)):
-        x = UnitVector(row)
-        m = ordered_cells_of(3, x)[0]
-        shifted = cyclic_shift(3, 1, x)
-        assert ordered_cells_of(3, shifted)[0] == m % 8 + 1
-    a = UnitVector(sample_uniform_many(3, 1, RngStream(7))[0])
-    b = UnitVector(sample_uniform_many(3, 1, RngStream(8))[0])
-    assert geodesic_distance(cyclic_shift(3, 1, a), cyclic_shift(3, 1, b)) == pytest.approx(
-        geodesic_distance(a, b), abs=1e-15
+    xs = sample_uniform_many(3, 50, RngStream(6))
+    ms = odd_corr.principal_cells_many(3, xs)
+    assert np.array_equal(odd_corr.principal_cells_many(3, cyclic_shift(3, 1, xs)), ms % 8 + 1)
+    a = sample_uniform_many(3, 1, RngStream(7))
+    b = sample_uniform_many(3, 1, RngStream(8))
+    assert geodesic_many(cyclic_shift(3, 1, a), cyclic_shift(3, 1, b)) == pytest.approx(
+        geodesic_many(a, b), abs=1e-15
     )
 
 
 def test_cyclic_shift_angle_relation():
     # angle(m+n, A_n x) == angle(m, x) + n pi/(k+1) (mod 2 pi)
     for k in (3, 5):
-        xs = sample_uniform_many(k, 500, RngStream(9).child(k))
-        for row in xs[:100]:
-            x = UnitVector(row)
-            m = ordered_cells_of(k, x)[0]
-            base = cell_angle(k, m, x).theta
-            y = x
-            for n in range(1, 2 * k + 3):
-                y = cyclic_shift(k, 1, y)
-                m_new = (m + n - 1) % (2 * k + 2) + 1
-                lhs = cell_angle(k, m_new, y).theta
-                assert circle_distance(lhs, base + n * np.pi / (k + 1)) <= 1e-12
+        xs = sample_uniform_many(k, 500, RngStream(9).child(k))[:100]
+        ms = odd_corr.principal_cells_many(k, xs)
+        base = odd_corr.cell_angles_many(k, xs, ms)
+        for n in range(1, 2 * k + 3):
+            m_new = (ms + n - 1) % (2 * k + 2) + 1
+            lhs = odd_corr.cell_angles_many(k, cyclic_shift(k, n, xs), m_new)
+            assert np.max(circle_distance_many(lhs, base + n * np.pi / (k + 1))) <= 1e-12
 
 
 def test_antipodal_angle_relation():
@@ -214,8 +214,7 @@ def pair_objectives(k, ms, xs, ns, zs):
     def elements(cells, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         cells = np.broadcast_to(cells, (len(pts),))
-        for m, p in zip(cells, pts):
-            assert m in ordered_cells_of(k, UnitVector(p))
+        assert np.all(cells_of(k, pts)[np.arange(len(pts)), cells - 1])
         angles = odd_corr.cell_angles_many(k, pts, cells)
         return ElementBatch(a=pts, b=angles, side=np.zeros(len(pts), dtype=int), strata=cells - 1)
 
@@ -228,7 +227,7 @@ def test_pair_objective_values():
     assert pair_objectives(3, 1, x, 4, x)[0] == pytest.approx(2 * np.pi / 3, abs=1e-12)
     # identical pair in one cell: zero
     y = UnitVector([0.9, 0.1, 0.2, 0.1]).coords
-    m = ordered_cells_of(3, UnitVector(y))[0]
+    m = ordered_cells(3, y)[0]
     assert pair_objectives(3, m, y, m, y)[0] == 0.0
     # antipodal pair across opposite cells: both distances are pi
     assert pair_objectives(3, 1, y, 5, -y)[0] == pytest.approx(0.0, abs=1e-12)
@@ -243,8 +242,8 @@ def test_symmetry_reduction_identities():
     xs = odd_corr.sample_in_ordered_cell_many(k, i, count, gen.child(2))
     zs = odd_corr.sample_in_ordered_cell_many(k, j, count, gen.child(3))
     back = 2 * k + 2 - (i - 1)
-    x0 = np.array([cyclic_shift(k, int(b), UnitVector(x)).coords for b, x in zip(back, xs)])
-    z0 = np.array([cyclic_shift(k, int(b), UnitVector(z)).coords for b, z in zip(back, zs)])
+    x0 = cyclic_shift(k, back, xs)
+    z0 = cyclic_shift(k, back, zs)
     j0 = (j - i) % (2 * k + 2) + 1
     d1 = pair_objectives(k, i, xs, j, zs)
     assert np.allclose(pair_objectives(k, 1, x0, j0, z0), d1, rtol=0, atol=1e-12)
@@ -299,9 +298,7 @@ def test_boundary_sample_membership():
     k = 3
     for (m1, m2) in ((1, 4), (1, 2), (3, 8)):
         xs = odd_corr.sample_cell_boundary_many(k, m1, m2, 50, RngStream(14).child(m1, m2))
-        for x in xs:
-            cells = ordered_cells_of(k, UnitVector(x))
-            assert m1 in cells and m2 in cells
+        assert np.all(cells_of(k, xs)[:, [m1 - 1, m2 - 1]])
 
 
 def test_boundary_sample_tied_coordinates():
@@ -324,7 +321,6 @@ def test_boundary_sample_bulk_membership_rate():
     xs = odd_corr.sample_cell_boundary_many(k, 1, k + 1, 10_000, RngStream(17))
     ms = np.full(len(xs), 1)
     ang = odd_corr.cell_angles_many(k, xs, ms)  # raises nothing: membership exact
-    axes, _ = odd_corr._cell_tables(k)
     top = np.max(np.abs(xs), axis=1)
     assert np.all(xs[:, 0] >= top - 1e-9)
     assert np.all(-xs[:, k] >= top - 1e-9)
@@ -361,7 +357,7 @@ def test_variants_just_outside_a_cell_lie_in_the_closed_cell():
     variants = corr.variants_of_free(0, x)
     assert sorted(v.stratum + 1 for v in variants) == [1, 3]
     for v in variants:
-        assert v.stratum + 1 in odd_corr._cells_of_coords(k, v.a, 0.0)
+        assert odd_corr._cell_mask(k, v.a, 0.0)[v.stratum]
         assert np.array_equal(v.free, v.a)
         assert np.linalg.norm(v.a) == pytest.approx(1.0, abs=1e-15)
         assert corr.element_valid(v)

@@ -1,9 +1,11 @@
-"""Every command line the benchmark runs still parses.
+"""Every command line the benchmark runs still parses, and its one library call still runs.
 
-``perfbench/workloads.py`` drives the CLI through argv lists, so a renamed or
-removed flag would otherwise surface only when the benchmark runs.
+``perfbench/workloads.py`` drives the CLI through argv lists and calls
+``voronoi_diameter_estimate`` directly for ``vdiam6``, so a renamed or removed
+flag or name would otherwise surface only when the benchmark runs.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -30,3 +32,11 @@ def test_workload_argvs_parse(monkeypatch, name):
     parser = cli.build_parser()
     for argv in recorded:
         parser.parse_args(argv)  # exits 2 on an unknown flag
+
+
+def test_vdiam6_library_call_runs(monkeypatch):
+    monkeypatch.setattr(workloads, "VDIAM6_SAMPLES", 2000)
+    (op,) = [op for op in workloads.build("refine", 0).ops if op.name == "vdiam6"]
+    code, text = op.run()
+    assert code == 0
+    assert {"value", "u", "v"} <= set(json.loads(text))

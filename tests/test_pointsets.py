@@ -6,20 +6,17 @@ import pytest
 
 from spherecorr import (
     AntipodalSet,
-    CellIndex,
     RngStream,
-    UnitVector,
     arc_augmented_set,
     cross_polytope_set,
     cross_polytope_vdiam_exact,
     evenly_spaced_circle_set,
     hausdorff_to_sphere_estimate,
     separation,
-    voronoi_cells_of,
     voronoi_diameter_estimate,
 )
 from spherecorr import geometry
-from spherecorr.pointsets import covering_radius
+from spherecorr.pointsets import cell_mask, covering_radius
 from spherecorr.serialize import dumps
 
 
@@ -130,43 +127,28 @@ def test_cross_polytope_vdiam_inequality_sweep():
     assert cross_polytope_vdiam_exact(3) == pytest.approx(2 * np.pi / 3, abs=1e-12)
 
 
+def signed_cells(aset, x):
+    """(representative, sign) of each cell containing one point; column i >= m is the negative of rep i - m."""
+    return sorted((i % aset.m + 1, 1 if i < aset.m else -1) for i in np.flatnonzero(cell_mask(aset, [x])))
+
+
 def test_voronoi_cells_at_site_and_corners():
     cp = cross_polytope_set(3)
-    only = voronoi_cells_of(cp, UnitVector([1, 0, 0, 0]))
-    assert [(c.rep_index, c.sign) for c in only] == [(1, 1)]
-
-    corner = voronoi_cells_of(cp, UnitVector([0.5, -0.5, 0.5, 0.5]))
-    assert sorted((c.rep_index, c.sign) for c in corner) == [(1, 1), (2, -1), (3, 1), (4, 1)]
-
-    sym = voronoi_cells_of(cp, UnitVector([0.5, 0.5, 0.5, 0.5]))
-    assert sorted((c.rep_index, c.sign) for c in sym) == [(1, 1), (2, 1), (3, 1), (4, 1)]
+    assert signed_cells(cp, [1.0, 0, 0, 0]) == [(1, 1)]
+    assert signed_cells(cp, [0.5, -0.5, 0.5, 0.5]) == [(1, 1), (2, -1), (3, 1), (4, 1)]
+    assert signed_cells(cp, [0.5, 0.5, 0.5, 0.5]) == [(1, 1), (2, 1), (3, 1), (4, 1)]
 
 
 def test_voronoi_cells_dimension_check():
     with pytest.raises(ValueError):
-        voronoi_cells_of(cross_polytope_set(3), UnitVector([1, 0, 0]))
-
-
-def test_cell_index_codec():
-    for m in (2, 5):
-        for linear in range(1, 2 * m + 1):
-            c = CellIndex.from_linear(linear, m)
-            assert 1 <= c.rep_index <= m
-            assert c.sign == (1 if linear <= m else -1)
-            assert c.antipode(m).antipode(m) == c
-    with pytest.raises(ValueError):
-        CellIndex.from_linear(0, 3)
+        cell_mask(cross_polytope_set(3), np.array([[1.0, 0, 0]]))
 
 
 def test_voronoi_antipode_equivariance():
+    # the antipodal cell of column i is column (i + m) mod 2m
     cp = cross_polytope_set(4)
-    gen = RngStream(8)
-    from spherecorr.geometry import sample_uniform_many
-
-    for row in sample_uniform_many(4, 100, gen):
-        cells = {c.linear for c in voronoi_cells_of(cp, UnitVector(row))}
-        flipped = {c.antipode(cp.m).linear for c in voronoi_cells_of(cp, UnitVector(-row))}
-        assert cells == flipped
+    xs = geometry.sample_uniform_many(4, 100, RngStream(8))
+    assert np.array_equal(cell_mask(cp, xs), np.roll(cell_mask(cp, -xs), cp.m, axis=1))
 
 
 # -- sampled estimators -----------------------------------------------------
@@ -174,9 +156,7 @@ def test_voronoi_antipode_equivariance():
 def test_circle_vdiam_is_exact():
     value, (u, v) = voronoi_diameter_estimate(evenly_spaced_circle_set(4), 10, rng=RngStream(0))
     assert value == pytest.approx(np.pi / 4, abs=1e-12)
-    from spherecorr import geodesic_distance
-
-    assert geodesic_distance(u, v) == pytest.approx(value, abs=1e-9)
+    assert geometry.geodesic_many(u.coords, v.coords) == pytest.approx(value, abs=1e-9)
 
 
 def test_vdiam_estimate_matches_cross_polytope():
@@ -186,12 +166,8 @@ def test_vdiam_estimate_matches_cross_polytope():
         )
         assert est == pytest.approx(cross_polytope_vdiam_exact(k), abs=0.01)
         # the witness pair lies in a common cell and realizes the value
-        cells_u = {c.linear for c in voronoi_cells_of(cross_polytope_set(k), u)}
-        cells_v = {c.linear for c in voronoi_cells_of(cross_polytope_set(k), v)}
-        assert cells_u & cells_v
-        from spherecorr import geodesic_distance
-
-        assert geodesic_distance(u, v) == pytest.approx(est, abs=1e-12)
+        assert np.any(np.all(cell_mask(cross_polytope_set(k), [u.coords, v.coords]), axis=0))
+        assert geometry.geodesic_many(u.coords, v.coords) == pytest.approx(est, abs=1e-12)
 
 
 def test_vdiam_monotone_in_samples():

@@ -3,14 +3,12 @@ import pytest
 
 from spherecorr import (
     RngStream,
-    UnitVector,
     VoronoiCorrespondence,
     arc_augmented_set,
     cross_polytope_set,
     cross_polytope_vdiam_exact,
     evenly_spaced_circle_set,
     rpq_bound,
-    rpq_correspondents,
     separation,
     voronoi_diameter_estimate,
 )
@@ -62,36 +60,43 @@ def test_bound_arc_vs_cross():
     assert bound == pytest.approx(np.pi - separation(P), abs=1e-12)
 
 
+def correspondents(corr, side, point):
+    """Sites related to one point: of P for a point of the high sphere (side 1), of Q for the low (side 0)."""
+    batch, _ = corr.variants_many(side, normalize_rows(np.array([point], dtype=float)))
+    return batch.a if side == 1 else batch.b
+
+
 def test_correspondents_at_site():
     corr = even_cross(2)
-    got = rpq_correspondents(corr, UnitVector([1, 0, 0]), "high")
+    got = correspondents(corr, 1, [1, 0, 0])
     assert len(got) == 1
-    assert np.allclose(got[0].coords, corr.P.points()[0], atol=0)
+    assert np.array_equal(got[0], corr.P.points()[0])
 
 
 def test_correspondents_at_symmetric_corner():
     corr = even_cross(2)
-    got = rpq_correspondents(corr, UnitVector([1, 1, 1]), "high")
+    got = correspondents(corr, 1, [1, 1, 1])
     assert len(got) == 3
 
 
 def test_correspondents_low_side():
     corr = even_cross(2)
-    got = rpq_correspondents(corr, UnitVector([1, 0]), "low")
+    got = correspondents(corr, 0, [1, 0])
     assert len(got) >= 1
-    assert np.allclose(got[0].coords, corr.Q.points()[0], atol=0)
+    assert np.array_equal(got[0], corr.Q.points()[0])
     # a boundary angle between the first two cells has two correspondents
     theta = np.pi / 6  # halfway between sites at 0 and pi/3 (m = 3 reps)
-    got = rpq_correspondents(corr, UnitVector([np.cos(theta), np.sin(theta)]), "low")
+    got = correspondents(corr, 0, [np.cos(theta), np.sin(theta)])
     assert len(got) == 2
 
 
 def test_correspondents_validations():
+    # a point of the wrong sphere matches no site
     corr = even_cross(2)
     with pytest.raises(ValueError):
-        rpq_correspondents(corr, UnitVector([1, 0, 0]), "low")
+        correspondents(corr, 0, [1, 0, 0])
     with pytest.raises(ValueError):
-        rpq_correspondents(corr, UnitVector([1, 0]), "sideways")
+        correspondents(corr, 1, [1, 0])
 
 
 def test_sample_batch_membership_and_reproducibility():
@@ -113,16 +118,14 @@ def test_sampler_hits_every_stratum():
 
 
 def test_relation_is_antipode_equivariant():
+    # the correspondents of -y are the negated correspondents of y, row by row
     corr = even_cross(2)
-    from spherecorr.geometry import sample_uniform_many
-
-    for row in sample_uniform_many(2, 100, RngStream(4)):
-        ups = {tuple(np.round(u.coords, 9)) for u in rpq_correspondents(corr, UnitVector(row), "high")}
-        downs = {
-            tuple(np.round(-u.coords, 9))
-            for u in rpq_correspondents(corr, UnitVector(-row), "high")
-        }
-        assert ups == downs
+    ys = sample_uniform_many(2, 100, RngStream(4))
+    ups, up_owner = corr.variants_many(1, ys)
+    downs, down_owner = corr.variants_many(1, -ys)
+    assert {(i, tuple(np.round(a, 9))) for i, a in zip(up_owner, ups.a)} == {
+        (i, tuple(np.round(-a, 9))) for i, a in zip(down_owner, downs.a)
+    }
 
 
 def test_nine_cases_satisfy_their_bounds():
