@@ -197,11 +197,14 @@ def covering_radius(reps: np.ndarray) -> float:
         raise ValueError("need at least one point")
     subsets = np.array(list(itertools.combinations(range(m), d)), dtype=int).reshape(-1, d)
     rows = reps[subsets]
-    rows = rows[np.linalg.matrix_rank(rows) == d]
-    if not len(rows):
-        return np.pi / 2
+    # det (one LU) is 0 exactly where solve's LU meets a zero pivot and would
+    # raise; a nearly singular subset's candidates whose norm overflows are dropped.
+    rows = rows[np.linalg.det(rows) != 0]
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))[: 2 ** (d - 1)]
     v = np.linalg.solve(rows[:, None], signs[None, :, :, None]).reshape(-1, d)
+    v = v[np.isfinite(geometry.row_dot(v, v))]
+    if not len(v):
+        return np.pi / 2
     v = geometry.normalize_rows(v)
     # A score is arccos max_i |<v, p_i>| and arccos falls with slope >= 1: a
     # candidate more than 1e-9 behind the smallest cosine is more than 1e-9

@@ -70,6 +70,8 @@ class VoronoiCorrespondence(Correspondence):
         return ElementBatch(*(np.concatenate(col)[perm] for col in zip(low, high)))
 
     def variants_many(self, side, frees):
+        if side not in (0, 1):
+            raise ValueError(f"side must be 0 (the low sphere) or 1 (the high sphere); got {side}")
         frees = np.asarray(frees, dtype=float)
         owner, cells = np.nonzero(pointsets.cell_mask(self.P if side == 0 else self.Q, frees))
         return ElementBatch(*self._elements(side, frees[owner], cells)), owner

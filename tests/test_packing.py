@@ -353,15 +353,24 @@ def test_store_rejects_mismatched_entry(tmp_path, tamper):
     assert store.load(2, 4, FAST, RngStream(12)) is None
 
 
+def table_stages(budget):
+    """Every budget ``asymptotic_table`` may run for one row, in order."""
+    early = [PackingBudget(s, 0, budget.restarts) for s in packing.TABLE_STAGES]
+    return [b for b in early if b.ascent_steps < budget.ascent_steps] + [budget]
+
+
 @pytest.mark.parametrize("text", ["", '{"points": [[1.0, 0.0', "[]", '{"n": 2, "m": 4}', "\xff"])
 def test_corrupt_store_entry_is_recomputed(tmp_path, text):
     store = PackingStore(tmp_path)
+    stream = RngStream(1).child(3)
     rows = asymptotic_table(2, [3], FAST, RngStream(1), store=store)
     (path,) = tmp_path.glob("pack_*.json")
+    # the key of the entry the table wrote: the stage that certified the row
+    (budget,) = [b for b in table_stages(FAST) if store.load(2, 4, b, stream) is not None]
     path.write_text(text, encoding="latin-1")
-    assert store.load(2, 4, FAST, RngStream(1).child(3)) is None
+    assert store.load(2, 4, budget, stream) is None
     assert dumps(asymptotic_table(2, [3], FAST, RngStream(1), store=store)) == dumps(rows)
-    assert store.load(2, 4, FAST, RngStream(1).child(3)) is not None
+    assert store.load(2, 4, budget, stream) is not None
 
 
 def test_store_save_is_atomic(tmp_path, monkeypatch):
@@ -405,6 +414,69 @@ def test_asymptotic_table_rows(tmp_path):
     # warm rerun hits the cache and reproduces the rows byte for byte
     rows2 = asymptotic_table(2, [3, 4, 5], FAST, RngStream(1), store=store)
     assert dumps(rows) == dumps(rows2)
+
+
+def record_optimize(monkeypatch):
+    """Route ``packing.optimize_packing`` through a recorder of its budgets."""
+    calls = []
+
+    def recording(n, m, budget, rng):
+        calls.append(budget)
+        return optimize_packing(n, m, budget, rng)
+
+    monkeypatch.setattr(packing, "optimize_packing", recording)
+    return calls
+
+
+def test_warm_table_optimizes_nothing(tmp_path, monkeypatch):
+    store = PackingStore(tmp_path)
+    rows = asymptotic_table(2, [3, 4, 8], FAST, RngStream(1), store=store)
+
+    def fail(*_args):
+        raise AssertionError("a warm table optimized a packing")
+
+    monkeypatch.setattr(packing, "optimize_packing", fail)
+    assert dumps(asymptotic_table(2, [3, 4, 8], FAST, RngStream(1), store=store)) == dumps(rows)
+
+
+@pytest.mark.parametrize("steps", [1, packing.TABLE_STAGES[0]])
+def test_table_at_or_below_the_first_stage_runs_only_its_budget(monkeypatch, steps):
+    budget = PackingBudget(steps, 5, 3)
+    calls = record_optimize(monkeypatch)
+    (row,) = asymptotic_table(2, [4], budget, RngStream(2))
+    assert calls == [budget]
+    points = optimize_packing(2, 5, budget, RngStream(2).child(4)).points
+    assert row["bound"] == best_bound(2, 4, points)[0]
+
+
+# Five lines in RP^2 from the arc start alone: no stage reaches the cell term.
+UNCERTIFIED = (2, 4, PackingBudget(200, 10, 1))
+
+
+def test_uncertified_row_is_the_full_budget_packing(monkeypatch):
+    n, k, budget = UNCERTIFIED
+    calls = record_optimize(monkeypatch)
+    (row,) = asymptotic_table(n, [k], budget, RngStream(5))
+    assert calls == table_stages(budget) and len(calls) == 3
+    result = optimize_packing(n, k + 1, budget, RngStream(5).child(k))
+    bound = best_bound(n, k, result.points)[0]
+    assert bound > cross_polytope_vdiam_exact(k)
+    assert row["bound"] == bound
+    assert row["p_lower"] == result.min_dist
+
+
+def test_every_stage_entry_is_its_own_optimize_packing(tmp_path):
+    n, k, budget = UNCERTIFIED
+    store = PackingStore(tmp_path / "table")
+    asymptotic_table(n, [k], budget, RngStream(5), store=store)
+    reference = PackingStore(tmp_path / "reference")
+    stream = RngStream(5).child(k)
+    for stage in table_stages(budget):
+        reference.save(n, k + 1, stage, stream, optimize_packing(n, k + 1, stage, stream))
+    written = sorted(store.root.iterdir())
+    assert len(written) == len(table_stages(budget))
+    for path in written:
+        assert path.read_bytes() == (reference.root / path.name).read_bytes()
 
 
 @pytest.mark.parametrize("steps", [1, 3, 1601, 1603])

@@ -66,6 +66,12 @@ def correspondents(corr, side, point):
     return batch.a if side == 1 else batch.b
 
 
+@pytest.mark.parametrize("side", [-1, 2])
+def test_variants_reject_an_unknown_side(side):
+    with pytest.raises(ValueError, match="side must be 0"):
+        even_cross(2).variants_many(side, np.array([[1.0, 0.0, 0.0]]))
+
+
 def test_correspondents_at_site():
     corr = even_cross(2)
     got = correspondents(corr, 1, [1, 0, 0])
