@@ -146,10 +146,6 @@ class Correspondence(ABC):
         """
         return None
 
-    def element_valid(self, elem: RelationElement) -> bool:
-        """Whether ``elem`` matches some variant over its own free point."""
-        return bool(_in_relation(self, ElementBatch.of([elem]))[0])
-
 
 def _in_relation(corr: Correspondence, batch: ElementBatch) -> np.ndarray:
     """Whether each row of ``batch`` matches some variant over its own free point."""
@@ -230,8 +226,8 @@ def refine_pair(
     elements and the objective never decreases.
     """
     e1, e2 = pair
-    for e in (e1, e2):
-        if not corr.element_valid(e):
+    for e, ok in zip(pair, _in_relation(corr, ElementBatch.of(pair))):
+        if not ok:
             raise ValueError(f"input pair is not in the relation (stratum {e.stratum})")
     if iters == 0:
         return (e1, e2), pair_objective(corr, e1, e2)

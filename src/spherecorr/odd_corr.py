@@ -159,17 +159,16 @@ def case_reduction_pairs(k: int) -> list[tuple[int, int]]:
     return [(1, k), (1, k + 1)]
 
 
-def compatible_boundary(k: int, m1: int, m2: int) -> bool:
-    """Whether ordered cells m1, m2 can share boundary points (tied coordinates)."""
-    if m1 == m2:
-        return False
-    return cell_axis(k, m1) != cell_axis(k, m2)
+def neighbor_cells(k: int, m: int) -> np.ndarray:
+    """The ordered cells that can share boundary points (tied coordinates) with
+    cell m: those whose axis differs from m's, in ascending order."""
+    return np.flatnonzero(_cell_tables(k)[0] != cell_axis(k, m)) + 1
 
 
 def sample_cell_boundary_many(k: int, m1: int, m2: int, count: int, rng: RngStream) -> np.ndarray:
     """Samples with the two distinguished coordinates tied at the maximum magnitude."""
     _check_k(k)
-    if not compatible_boundary(k, m1, m2):
+    if m2 not in neighbor_cells(k, m1):
         raise ValueError(f"ordered cells {m1} and {m2} do not share boundary points")
     gen = rng.generator()
     g = gen.standard_normal((count, k + 1))
@@ -250,6 +249,8 @@ class OddCircleCorrespondence(Correspondence):
         )
 
     def variants_many(self, side, frees):
+        if side != 0:
+            raise ValueError(f"side must be 0 (the sphere S^{self.k}); got {side}")
         frees = _points_of(self.k, frees)
         owner, cells = np.nonzero(_cell_mask(self.k, frees, CELL_TOL))
         axes = _cell_tables(self.k)[0]
@@ -286,8 +287,7 @@ class OddCircleCorrespondence(Correspondence):
             # Independent boundary pairs: x on a boundary of cell i, z of cell j.
             gen = case_rng.child(1).generator()
             for main, out, sub in ((i, left, 2), (j, right, 3)):
-                others = [m for m in range(1, 2 * k + 3) if compatible_boundary(k, main, m)]
-                pick = gen.choice(others, size=per_case)
+                pick = gen.choice(neighbor_cells(k, main), size=per_case)
                 xs = np.empty((per_case, k + 1))
                 for u, m_other in enumerate(np.unique(pick)):
                     rows = pick == m_other

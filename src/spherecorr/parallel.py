@@ -49,8 +49,11 @@ def run_shards(
 
     Returns results in shard order regardless of completion order or thread
     count, which is what makes downstream reductions deterministic.
+    ``threads=None`` means one worker per core.
     """
-    threads = default_threads() if threads is None else max(1, int(threads))
+    threads = default_threads() if threads is None else int(threads)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1; got {threads}")
     jobs = [(i, n, rng.child(i)) for i, n in enumerate(sizes)]
     if threads == 1 or len(jobs) == 1:
         return [work(*job) for job in jobs]

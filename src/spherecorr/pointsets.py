@@ -228,33 +228,6 @@ def cell_mask(aset: AntipodalSet, xs: np.ndarray) -> np.ndarray:
     return dists <= dists.min(axis=1, keepdims=True) + CELL_TOL
 
 
-def sample_in_cell(
-    aset: AntipodalSet,
-    linear: int,
-    count: int,
-    rng: RngStream,
-) -> np.ndarray:
-    """Uniform samples from one Voronoi cell, by rejection from the sphere in at most 200 batches."""
-    if not 1 <= linear <= 2 * aset.m:
-        raise ValueError(f"linear cell index {linear} out of range")
-    out: list[np.ndarray] = []
-    have = 0
-    gen_stream = rng.child(linear)
-    for batch in range(200):
-        draw = geometry.sample_uniform_many(
-            aset.dim, max(count * aset.m, 64), gen_stream.child(batch)
-        )
-        keep = draw[aset.nearest_site_many(draw) == linear - 1]
-        if keep.size:
-            out.append(keep)
-            have += keep.shape[0]
-        if have >= count:
-            break
-    if have < count:
-        raise RuntimeError(f"rejection sampling failed to populate cell {linear}")
-    return np.vstack(out)[:count]
-
-
 # ---------------------------------------------------------------------------
 # Sampled Voronoi-diameter estimator
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, odd_corr, packing, pointsets
-from .distortion import SearchBudget, estimate_distortion
+from .distortion import ElementBatch, SearchBudget, estimate_distortion
 from .odd_corr import OddCircleCorrespondence, cell_angles_many
 from .rng import RngStream
-from .voronoi_corr import even_cross
+from .voronoi_corr import VoronoiCorrespondence, even_cross
 
 SCOPES = ("geometry", "pointsets", "rpq", "odd", "packing")
 
@@ -234,65 +234,46 @@ def check_pointsets(samples: int, rng: RngStream, threads=None) -> list[Invarian
 # cell-collapse correspondence
 # ---------------------------------------------------------------------------
 
+# The collapse proof's cases, numbered from 0: the row says where a pair's
+# two free points lie (both on the high sphere S^k, one on each sphere, both
+# on the low sphere) and the column how their cells relate (same, antipodal,
+# other), where an element's cell is its stratum mod 2m.
+NINE_CASES = np.array([[0, 1, 2], [3, 4, 5], [8, 7, 6]])
+
+
+def nine_case_of(corr: VoronoiCorrespondence, first: ElementBatch, second: ElementBatch) -> np.ndarray:
+    """Proof case (0..8, see ``NINE_CASES``) of each pair (first[i], second[i]) of ``corr``."""
+    m = corr.P.m
+    c1, c2 = first.strata % (2 * m), second.strata % (2 * m)
+    column = np.where(c1 == c2, 0, np.where((c1 - c2) % (2 * m) == m, 1, 2))
+    return NINE_CASES[2 - first.side - second.side, column]
+
+
 def nine_case_witnesses(k: int, samples: int, rng: RngStream) -> list[tuple[str, float, float]]:
     """(case, objective, case bound) triples for the collapse-relation proof cases.
 
-    Uses the evenly spaced circle set against the cross-polytope, whose
-    separations and Voronoi diameters are known exactly.
+    Scores sampled pairs of ``even_cross(k)``, whose separations and Voronoi
+    diameters are known exactly, and draws batches from ``rng.child(0)``,
+    ``rng.child(1)``, ... until every case holds ``max(8, samples // 2000)``
+    pairs.  A case's objective is the largest over its pairs.
     """
-    P = pointsets.evenly_spaced_circle_set(k + 1)
-    Q = pointsets.cross_polytope_set(k)
-    vd_p = np.pi / (k + 1)
-    vd_q = pointsets.cross_polytope_vdiam_exact(k)
-    sep_p = pointsets.separation(P)
-    sep_q = pointsets.separation(Q)
-    m = P.m
-    count = max(8, samples // 2000)
-
-    def cell_pts(aset, linear, n, stream):
-        return pointsets.sample_in_cell(aset, linear, n, rng.child(stream))
-
-    rows: list[tuple[str, float, float]] = []
-
-    def emit(case, d_low, d_high, bound):
-        rows.append((case, float(np.max(np.abs(d_low - d_high))), bound))
-
-    # Cases 1-3: both low points are sites of P.
-    ys = cell_pts(Q, 1, count, 1)
-    ys2 = cell_pts(Q, 1, count, 2)
-    emit("case-1", 0.0, geometry.geodesic_many(ys, ys2), vd_q)
-    ys_neg = -cell_pts(Q, 1, count, 3)
-    emit("case-2", np.pi, geometry.geodesic_many(ys, ys_neg), vd_q)
-    j = 2 if m > 2 else 1
-    d_pp = geometry.geodesic_many(P.points()[:1], P.points()[j:j + 1])[0]
-    emit("case-3", d_pp, geometry.geodesic_many(cell_pts(Q, 1, count, 4), cell_pts(Q, j + 1, count, 5)), np.pi - sep_p)
-    # Cases 4-6: one point of P, one site of Q.
-    xs = cell_pts(P, 1, count, 6)
-    emit(
-        "case-4",
-        geometry.geodesic_many(np.repeat(P.points()[:1], count, axis=0), xs),
-        geometry.geodesic_many(ys, np.repeat(Q.points()[:1], count, axis=0)),
-        np.pi - sep_p,
-    )
-    emit(
-        "case-5",
-        geometry.geodesic_many(np.repeat(P.points()[:1], count, axis=0), -xs),
-        geometry.geodesic_many(ys, np.repeat(-Q.points()[:1], count, axis=0)),
-        np.pi - sep_p,
-    )
-    emit(
-        "case-6",
-        geometry.geodesic_many(np.repeat(P.points()[:1], count, axis=0), cell_pts(P, j + 1, count, 7)),
-        geometry.geodesic_many(ys, np.repeat(Q.points()[j:j + 1], count, axis=0)),
-        max(np.pi - sep_p, np.pi - sep_q),
-    )
-    # Cases 7-9: both high points are sites of Q.
-    d_qq = geometry.geodesic_many(Q.points()[:1], Q.points()[j:j + 1])[0]
-    xs2 = cell_pts(P, j + 1, count, 8)
-    emit("case-7", geometry.geodesic_many(xs, xs2), d_qq, np.pi - sep_q)
-    emit("case-8", geometry.geodesic_many(xs, -cell_pts(P, 1, count, 9)), np.pi, vd_p)
-    emit("case-9", geometry.geodesic_many(xs, cell_pts(P, 1, count, 10)), 0.0, vd_p)
-    return rows
+    corr, _ = even_cross(k)
+    vd_p, vd_q = np.pi / (k + 1), pointsets.cross_polytope_vdiam_exact(k)
+    gap_p, gap_q = np.pi - pointsets.separation(corr.P), np.pi - pointsets.separation(corr.Q)
+    bounds = (vd_q, vd_q, gap_p, gap_p, gap_p, max(gap_p, gap_q), gap_q, vd_p, vd_p)  # case-1 .. case-9
+    need = max(8, samples // 2000)
+    counts = np.zeros(9, dtype=int)
+    worst = np.zeros(9)
+    draw = 0
+    while counts.min() < need:
+        batch = corr.sample_batch(8 * corr.n_strata * need, rng.child(draw))
+        half = len(batch.strata) // 2
+        first, second = batch.take(slice(0, half)), batch.take(slice(half, 2 * half))
+        cases = nine_case_of(corr, first, second)
+        counts += np.bincount(cases, minlength=9)
+        np.maximum.at(worst, cases, np.abs(corr.dist_a(first.a, second.a) - corr.dist_b(first.b, second.b)))
+        draw += 1
+    return [(f"case-{i + 1}", float(worst[i]), bounds[i]) for i in range(9)]
 
 
 def check_rpq(k_values, samples: int, rng: RngStream, threads=None) -> list[InvariantResult]:
@@ -545,8 +526,7 @@ def check_odd(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
         probe = max(2000, samples // 10)
         for (i, j) in odd_corr.case_reduction_pairs(k):
             b_rng = rng.child(200 + k, i, j)
-            others_i = [m for m in range(1, 2 * k + 3) if odd_corr.compatible_boundary(k, i, m)]
-            others_j = [m for m in range(1, 2 * k + 3) if odd_corr.compatible_boundary(k, j, m)]
+            others_i, others_j = odd_corr.neighbor_cells(k, i), odd_corr.neighbor_cells(k, j)
             xs = np.vstack([
                 odd_corr.sample_cell_boundary_many(k, i, int(mm), probe // len(others_i) + 1, b_rng.child(1, t))
                 for t, mm in enumerate(others_i)

@@ -136,6 +136,15 @@ def test_distortion_rejects_even_k_for_odd_corr(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_distortion_rejects_fewer_than_one_thread(capsys, threads):
+    code, out = run_cli(
+        capsys, "distortion", "--corr", "odd-rk", "--k", "3", "--samples", "100", "--threads", threads
+    )
+    assert code == 2
+    assert out == ""
+
+
 def test_distortion_byte_identical_across_threads(capsys):
     outs = []
     for threads in ("1", "4", "8"):

@@ -16,6 +16,7 @@ from spherecorr import (
     rpq_bound,
 )
 from spherecorr.distortion import (
+    ElementBatch,
     IdentityCorrespondence,
     RelationElement,
     _climb_pairs,
@@ -25,6 +26,7 @@ from spherecorr.distortion import (
     pair_objective,
 )
 from spherecorr import odd_corr
+from spherecorr.parallel import run_shards
 from spherecorr.serialize import dumps
 
 
@@ -114,6 +116,12 @@ def test_deterministic_across_worker_counts():
     assert outs[0] == outs[1] == outs[2]
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_run_shards_rejects_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_shards(lambda i, n, rng: n, [1, 1], RngStream(0), threads)
+
+
 def test_zero_budget_errors():
     corr = IdentityCorrespondence(2)
     with pytest.raises(ValueError):
@@ -174,8 +182,7 @@ def test_refined_elements_remain_members():
     zs = odd_corr.sample_in_ordered_cell_many(3, 7, 1, rng.child(1))
     pair = (odd_element(3, xs[0], 2), odd_element(3, zs[0], 7))
     (r1, r2), _ = refine_pair(corr, pair, 40, rng=rng.child(2))
-    assert corr.element_valid(r1)
-    assert corr.element_valid(r2)
+    assert _in_relation(corr, ElementBatch.of([r1, r2])).all()
 
 
 def test_report_serialization_fields():

@@ -11,7 +11,7 @@ from spherecorr import (
     max_distortion_witness,
 )
 from spherecorr import odd_corr
-from spherecorr.distortion import ElementBatch, _objectives
+from spherecorr.distortion import ElementBatch, _in_relation, _objectives
 from spherecorr.geometry import circle_distance_many, geodesic_many, sample_uniform_many
 from spherecorr.pointsets import cell_mask, cross_polytope_set
 
@@ -316,6 +316,17 @@ def test_boundary_sample_incompatible_cells():
         odd_corr.sample_cell_boundary_many(3, 2, 2, 1, RngStream(0))
 
 
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_neighbor_cells_are_the_other_axes_in_order(k):
+    axes = [odd_corr.cell_axis(k, m) for m in range(1, 2 * k + 3)]
+    for m in range(1, 2 * k + 3):
+        want = [c for c in range(1, 2 * k + 3) if axes[c - 1] != axes[m - 1]]
+        assert odd_corr.neighbor_cells(k, m).tolist() == want
+    assert odd_corr.neighbor_cells(3, 1).tolist() == [2, 3, 4, 6, 7, 8]
+    with pytest.raises(ValueError):
+        odd_corr.neighbor_cells(3, 9)
+
+
 def test_boundary_sample_bulk_membership_rate():
     k = 5
     xs = odd_corr.sample_cell_boundary_many(k, 1, k + 1, 10_000, RngStream(17))
@@ -342,10 +353,14 @@ def test_focus_pairs_are_valid_relation_elements():
     for k in (3, 5):
         corr = OddCircleCorrespondence(k)
         batch = corr.sample_focus_pairs(256, RngStream(19).child(k))
-        rows = len(batch.strata)
-        assert rows > 0
-        for i in range(rows):
-            assert corr.element_valid(batch.element(i)), (k, i)
+        assert len(batch.strata) > 0
+        assert _in_relation(corr, batch).all(), k
+
+
+@pytest.mark.parametrize("side", [1, 7, -1])
+def test_variants_reject_a_side_other_than_0(side):
+    with pytest.raises(ValueError, match="side must be 0"):
+        OddCircleCorrespondence(3).variants_many(side, np.array([[1.0, 0, 0, 0]]))
 
 
 def test_variants_just_outside_a_cell_lie_in_the_closed_cell():
@@ -360,6 +375,6 @@ def test_variants_just_outside_a_cell_lie_in_the_closed_cell():
         assert odd_corr._cell_mask(k, v.a, 0.0)[v.stratum]
         assert np.array_equal(v.free, v.a)
         assert np.linalg.norm(v.a) == pytest.approx(1.0, abs=1e-15)
-        assert corr.element_valid(v)
+    assert _in_relation(corr, ElementBatch.of(variants)).all()
     moved = next(v for v in variants if v.stratum == 0)
     assert 0 < np.max(np.abs(moved.a - x)) < 1e-9

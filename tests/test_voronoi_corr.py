@@ -12,10 +12,11 @@ from spherecorr import (
     separation,
     voronoi_diameter_estimate,
 )
-from spherecorr import voronoi_corr
+from spherecorr import verify, voronoi_corr
+from spherecorr.distortion import _in_relation
 from spherecorr.geometry import geodesic_many, normalize_rows, sample_uniform_many
 from spherecorr.pointsets import AntipodalSet, cell_mask
-from spherecorr.verify import nine_case_witnesses
+from spherecorr.verify import nine_case_of, nine_case_witnesses
 
 
 def even_cross(k):
@@ -109,8 +110,7 @@ def test_sample_batch_membership_and_reproducibility():
     corr = even_cross(2)
     batch = corr.sample_batch(100, RngStream(7))
     assert set(batch.side.tolist()) == {0, 1}
-    for i in range(len(batch.strata)):
-        assert corr.element_valid(batch.element(i)), i
+    assert _in_relation(corr, batch).all()
     again = corr.sample_batch(100, RngStream(7))
     for col, col2 in zip(batch.columns, again.columns):
         assert np.array_equal(col, col2)
@@ -142,13 +142,50 @@ def test_nine_cases_satisfy_their_bounds():
             assert objective <= bound + 1e-9, (k, case)
 
 
+def site_element(corr, side, cell):
+    """The one relation element over site ``cell`` of the sphere that carries ``side``'s free point."""
+    aset = corr.P if side == 0 else corr.Q
+    batch, _ = corr.variants_many(side, aset.points()[[cell]])
+    assert batch.strata.tolist() == [2 * aset.m * side + cell]
+    return batch
+
+
+@pytest.mark.parametrize("first_cell", [0, 5])
+def test_nine_case_table_labels_one_pair_per_case(first_cell):
+    corr = even_cross(3)
+    m = corr.P.m
+    # (side of the first free point, side of the second) -> case numbers of a
+    # second cell that is the same, the antipodal, or another cell
+    table = {(1, 1): (1, 2, 3), (0, 1): (4, 5, 6), (1, 0): (4, 5, 6), (0, 0): (9, 8, 7)}
+    same, antipodal = first_cell, (first_cell + m) % (2 * m)
+    others = [(first_cell + d) % (2 * m) for d in (1, 2, 2 * m - 1)]
+    for (s1, s2), (c_same, c_antipodal, c_other) in table.items():
+        for cell, case in [(same, c_same), (antipodal, c_antipodal)] + [(c, c_other) for c in others]:
+            first, second = site_element(corr, s1, first_cell), site_element(corr, s2, cell)
+            assert nine_case_of(corr, first, second).tolist() == [case - 1], (s1, s2, cell)
+
+
+@pytest.mark.parametrize("k, samples", [(k, 20000) for k in range(2, 7)] + [(3, 0), (30, 20000), (30, 200000)])
+def test_every_nine_case_holds_its_pair_count(monkeypatch, k, samples):
+    drawn = []
+
+    def recording(corr, first, second):
+        drawn.append(nine_case_of(corr, first, second))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "nine_case_of", recording)
+    rows = nine_case_witnesses(k, samples, RngStream(21).child(k))
+    assert np.bincount(np.concatenate(drawn), minlength=9).min() >= max(8, samples // 2000)
+    assert [case for case, _, _ in rows] == [f"case-{i}" for i in range(1, 10)]
+    for case, objective, bound in rows:
+        assert 0 < objective <= bound + 1e-9, (k, case)
+
+
 def test_focus_pairs_are_valid_relation_elements():
     corr = even_cross(3)
     batch = corr.sample_focus_pairs(64, RngStream(6))
-    rows = len(batch.strata)
-    assert rows > 0
-    for i in range(rows):
-        assert corr.element_valid(batch.element(i)), i
+    assert len(batch.strata) > 0
+    assert _in_relation(corr, batch).all()
 
 
 def bisection_ties(aset, ys):
@@ -217,6 +254,4 @@ def test_mixed_construction_correspondence():
     batch = corr.sample_batch(2000, RngStream(8))
     assert batch.a.shape == (2000, 3)
     assert batch.b.shape == (2000, 6)
-    for i in (0, 1, 999, 1999):
-        elem = batch.element(i)
-        assert corr.element_valid(elem)
+    assert _in_relation(corr, batch).all()
