@@ -184,6 +184,8 @@ def hill_climb(state, values, iters: int, step: float, cap: float, decay: float,
         values[won] = scores[picks]
         for col, new in zip(state, moved):
             col[won] = new[picks]
-        grow = np.isin(rows, won)
+        accepted = np.zeros(values.shape, dtype=bool)
+        accepted[won] = True
+        grow = accepted[rows]
         steps[rows] = np.where(grow, np.minimum(steps[rows] * 1.3, cap), steps[rows] * decay)
     return values

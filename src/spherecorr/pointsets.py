@@ -17,6 +17,7 @@ query, :func:`cell_mask`, over a stack of points.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -94,19 +95,17 @@ def cross_polytope_set(k: int) -> AntipodalSet:
     return AntipodalSet(np.eye(k + 1), label="cross-polytope")
 
 
-def positive_arcs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def positive_arcs(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Endpoint pairs of the n(n+1) positive geodesic arcs between basis axes.
 
     For i < j the positive copies are (+e_i, +e_j) and (+e_i, -e_j); their
-    antipodal arcs are the negative copies.
+    antipodal arcs are the negative copies.  Yielded lazily, in that order.
     """
     eye = np.eye(n + 1)
-    arcs = []
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
-            arcs.append((eye[i], eye[j]))
-            arcs.append((eye[i], -eye[j]))
-    return arcs
+            yield eye[i], eye[j]
+            yield eye[i], -eye[j]
 
 
 def arc_rows(n: int, count: int) -> np.ndarray:
@@ -115,16 +114,16 @@ def arc_rows(n: int, count: int) -> np.ndarray:
     Basis vectors come first; the remaining rows sit in the interiors of the
     positive arcs at even arc-length fractions, filling arcs in the fixed
     order of :func:`positive_arcs` with at most ceil(extra / n(n+1)) each.
+    Only the arcs that are filled are built.
     Rows are unit vectors up to roundoff and are not renormalized.
     """
     base = np.eye(n + 1)
     if count <= n + 1:
         return base[:count]
     rows = [base]
-    arcs = positive_arcs(n)
     budget = count - (n + 1)
-    per_arc = -(-budget // len(arcs))  # ceil
-    for a, b in arcs:
+    per_arc = -(-budget // (n * (n + 1)))  # ceil
+    for a, b in positive_arcs(n):
         if budget == 0:
             break
         take = min(per_arc, budget)
@@ -237,24 +236,31 @@ def _slide_directions(x, raw, own_sites, sites, activation):
 
     Row i's cell is cut out by the halfspaces <x, own_sites[i] - s'> >= 0;
     removing the infeasible components of the step lets the climb slide along
-    cell walls instead of stalling against them.
+    cell walls instead of stalling against them.  Each row walks its own
+    active walls (margin within ``activation[i]``) in index order, twice,
+    pushing the step back onto each wall it crosses; a pass recomputes only
+    the products of active (row, wall) pairs, and ends once no row crosses
+    another wall.
     """
     g = raw - geometry.row_dot(raw, x)[:, None] * x
     normals = own_sites[:, None, :] - sites
     sq = geometry.row_dot(normals, normals)
     margins = geometry.row_dot(own_sites, x)[:, None] - geometry.row_dot(x[:, None, :], sites)
-    walls = (margins <= activation[:, None]) & (sq >= 1e-300)
-    cols = np.arange(len(sites))
+    # row-major: each row's active walls are contiguous and in index order
+    rows, cols = np.nonzero((margins <= activation[:, None]) & (sq >= 1e-300))
+    normals, sq = normals[rows, cols], sq[rows, cols]
+    pair = np.arange(len(rows))
     for _ in range(2):
-        j = -1  # walls in index order, each pushed back where the step crosses it
+        done = np.full(len(x), -1)  # each row's last pushed-back pair
         while True:
-            viol = geometry.row_dot(g[:, None, :], normals)
-            hit = walls & (viol < 0) & (cols > j)
-            if not hit.any():
+            viol = geometry.row_dot(g[rows], normals)
+            hit = np.flatnonzero((viol < 0) & (pair > done[rows]))
+            if not hit.size:
                 break
-            j = int(np.argmax(hit.any(axis=0)))
-            on = hit[:, j]
-            g[on] -= (viol[on, j] / sq[on, j])[:, None] * normals[on, j]
+            hit = hit[np.diff(rows[hit], prepend=-1) != 0]  # each row's first crossing
+            on = rows[hit]
+            g[on] -= (viol[hit] / sq[hit])[:, None] * normals[hit]
+            done[on] = hit
     return g - geometry.row_dot(g, x)[:, None] * x
 
 
@@ -275,9 +281,8 @@ def _climb_pairs_in_cells(aset, cells, pts, iters, rngs):
         cur, other = pts[rows, p], pts[rows, 1 - p]
         slide = _slide_directions(cur, -other, sites[cells[rows]], sites, step)
         moved = np.repeat(pts[rows], 3, axis=0)
-        moved[:, p] = np.stack(
-            [geometry.tangent_step(cur, d, step) for d in (slide, -other, normals[rows, it])], axis=1
-        ).reshape(-1, cur.shape[1])
+        ways = np.stack([slide, -other, normals[rows, it]], axis=1).reshape(-1, cur.shape[1])
+        moved[:, p] = geometry.tangent_step(moved[:, p], ways, np.repeat(step, 3))
         owner = np.repeat(rows, 3)
         inside = cell_mask(aset, moved[:, p])[np.arange(len(owner)), cells[owner]]
         scores = geometry.geodesic_many(moved[:, 0], moved[:, 1])
@@ -338,6 +343,8 @@ def voronoi_diameter_estimate(
     """
     if samples < 1:
         raise ValueError("sample budget must be >= 1")
+    if refine_iters < 0:
+        raise ValueError("refine_iters must be >= 0")
     if aset.dim == 1:
         return _circle_vdiam_exact(aset)
 

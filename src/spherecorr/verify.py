@@ -625,6 +625,8 @@ def run_verify(
     threads: int | None = None,
 ) -> list[InvariantResult]:
     """Run one verification scope (or all) and return its invariant records."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = RngStream(seed)
     scopes = SCOPES if scope == "all" else (scope,)
     out: list[InvariantResult] = []

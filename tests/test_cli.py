@@ -238,6 +238,17 @@ def test_verify_samples_default_is_the_library_default():
     assert args.samples == inspect.signature(run_verify).parameters["samples"].default
 
 
+@pytest.mark.parametrize("scope", ["all", "geometry", "pointsets", "rpq", "odd", "packing"])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_fewer_than_one_sample(capsys, scope, samples):
+    # each check raises its own floor on the budget, so a bad budget must fail before any runs
+    code = main(["verify", "--scope", scope, "--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "samples must be >= 1" in captured.err
+
+
 @pytest.mark.parametrize("flag", [("--format", "csv"), ("--refine-iters", "5"), ("--restarts", "2")])
 def test_verify_rejects_flags_it_does_not_read(capsys, flag):
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -16,7 +17,7 @@ from spherecorr import (
     voronoi_diameter_estimate,
 )
 from spherecorr import geometry
-from spherecorr.pointsets import cell_mask, covering_radius
+from spherecorr.pointsets import _slide_directions, arc_rows, cell_mask, covering_radius
 from spherecorr.serialize import dumps
 
 
@@ -190,6 +191,107 @@ def test_vdiam_deterministic_across_threads():
         outs.append(dumps({"v": v, "u": u.coords, "w": w.coords}))
     assert outs[0] == outs[1] == outs[2]
 
+
+
+@pytest.mark.parametrize(
+    "aset, samples, iters, rng, value_hex, witness_sha256",
+    [
+        (cross_polytope_set(6), 100000, 200, RngStream(0), "0x1.2eb6965f39956p+1",
+         "a1ba7d116d580fa1e7f8ef07d613c021090d61d8f143d0083668791902b7787a"),
+        (cross_polytope_set(6), 100000, 200, RngStream(23), "0x1.2e5096638de70p+1",
+         "ca16e0c46ca90535a1b0297fceae6ff14d004d6fdd311d325856a7adf94d6b75"),
+        # verify --scope pointsets at seed 0: cross-vdiam-estimate's two calls
+        (cross_polytope_set(2), 20000, 200, RngStream(0).child(2).child(12), "0x1.e91f4285ed188p+0",
+         "e8da87a0a3992a232a6b622c3c0effa09023272e5149726b5e74aadf41276f62"),
+        (cross_polytope_set(3), 20000, 200, RngStream(0).child(2).child(13), "0x1.0c150bea7b686p+1",
+         "fe3c306f3c1ab218130ae39434a6eb74635de86d6ad72903a061afd898119377"),
+        # criterion 9's budget, on its widest and on a low arc set
+        (arc_augmented_set(5, 29), 2048, 20, RngStream(0, (9, 5, 29)), "0x1.e51ee6dc229bep+0",
+         "3470d98f1702fdb2f61c57c1b3fd3076fa796dcff165235dba7235211973448d"),
+        (arc_augmented_set(2, 9), 2048, 20, RngStream(0, (9, 2, 9)), "0x1.980dbfa27c9efp+0",
+         "aa3ab335a1f7792a66d4f87868810387410a6c286a21563f51df6e457cb1795d"),
+    ],
+)
+def test_vdiam_bytes_are_pinned(aset, samples, iters, rng, value_hex, witness_sha256):
+    value, (u, v) = voronoi_diameter_estimate(aset, samples, iters, rng, threads=1)
+    assert value.hex() == value_hex
+    assert hashlib.sha256(np.concatenate([u.coords, v.coords]).tobytes()).hexdigest() == witness_sha256
+
+
+def test_arc_rows_bytes_are_pinned():
+    sweep = hashlib.sha256()
+    for n in range(2, 30):
+        for k in range(n + 1, 31):
+            sweep.update(arc_rows(n, k + 1).tobytes())
+    assert sweep.hexdigest() == "09a0f47427ec7a1cbfcad0146808cd5d9e267bc1fb9874d52a19873b4dfe1a9c"
+    starts = {
+        (1, 3): "cbecf4da3e5161933df73faaa3ce558a395de95ad01c9dcc9e6a68e196d6ec9c",
+        (1, 7): "23ecb8eabe4c7e5370ea3745ff24ced6e4bc8e74fd1e0a46a8e0047c03ea1502",
+        (2, 2): "e7c6bff0f84ed48b4f18ee4f3f45716a62d7b2c9d6000334483986fa86bbbe3d",
+        (2, 5): "ea051e4dc16790bf16fda18069690e334cdafc21d23faf9c29c8e2d0dd7f273d",
+        (2, 9): "5be3acfcc1a2d3246d227093e9551ff8538a783532b844bab76f62171e2f154d",
+        (2, 41): "5d6ca3cb2971aecdccb1537c95f5615dad39ed920cd8fab57bafc423bbbac3c4",
+        (3, 4): "ccc7977ae7987f37c2235e57c320a5142d6b58413825b6457a4a1c9fe469ac1c",
+        (3, 8): "9e5cd10e9a4146ee3ff0795471e2eb7a20d9c6c77a026349ed2b7dd13847faa3",
+        (4, 30): "48ea5ca42d30c549b7e09ea1e0689a4660a7d8cd760f818079b6ac3f8f254f55",
+        (6, 100): "01169cee6e2745413a52bb58bbf6e7de5c016c6e7a29de266961d5dfe87da4ee",
+    }
+    for (n, m), digest in starts.items():
+        assert hashlib.sha256(arc_rows(n, m).tobytes()).hexdigest() == digest, (n, m)
+
+
+def test_vdiam_rejects_a_negative_climb_budget():
+    with pytest.raises(ValueError, match="refine_iters"):
+        voronoi_diameter_estimate(cross_polytope_set(3), 1000, -1, RngStream(0))
+    # zero iterations is the unclimbed estimate, as in SearchBudget
+    value, _ = voronoi_diameter_estimate(cross_polytope_set(3), 1000, 0, RngStream(0))
+    assert 0.0 < value <= cross_polytope_vdiam_exact(3)
+
+
+def batch_wide_slide(x, raw, own_sites, sites, activation):
+    """Reference walk: the batch visits, in index order, every wall that any
+    row crosses, and recomputes every row's product against every wall after
+    each one."""
+    g = raw - geometry.row_dot(raw, x)[:, None] * x
+    normals = own_sites[:, None, :] - sites
+    sq = geometry.row_dot(normals, normals)
+    margins = geometry.row_dot(own_sites, x)[:, None] - geometry.row_dot(x[:, None, :], sites)
+    walls = (margins <= activation[:, None]) & (sq >= 1e-300)
+    cols = np.arange(len(sites))
+    for _ in range(2):
+        j = -1
+        while True:
+            viol = geometry.row_dot(g[:, None, :], normals)
+            hit = walls & (viol < 0) & (cols > j)
+            if not hit.any():
+                break
+            j = int(np.argmax(hit.any(axis=0)))
+            on = hit[:, j]
+            g[on] -= (viol[on, j] / sq[on, j])[:, None] * normals[on, j]
+    return g - geometry.row_dot(g, x)[:, None] * x
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("aset", [
+    cross_polytope_set(2), cross_polytope_set(3), cross_polytope_set(6),
+    arc_augmented_set(2, 9), arc_augmented_set(3, 7), arc_augmented_set(5, 29),
+], ids=["cp2", "cp3", "cp6", "arc2-9", "arc3-7", "arc5-29"])
+def test_slide_directions_match_the_batch_wide_walk(aset, seed):
+    rng = np.random.default_rng(seed)
+    sites = aset.points()
+    rows = int(rng.integers(1, 61))
+    x = geometry.sample_uniform_many(aset.dim, rows, RngStream(seed))
+    own = sites[aset.nearest_site_many(x)]
+    raw = rng.standard_normal(x.shape)
+    # some rows get no active wall; the own site's wall (sq = 0) is never active
+    activation = np.where(rng.random(rows) < 0.25, 0.0, rng.uniform(1e-3, 0.8, rows))
+    for act in (activation, np.zeros(rows)):  # the second batch has no active wall at all
+        got = _slide_directions(x, raw, own, sites, act)
+        assert got.tobytes() == batch_wide_slide(x, raw, own, sites, act).tobytes()
+    # with no active wall the step is only projected onto the tangent space, twice
+    g = raw - geometry.row_dot(raw, x)[:, None] * x
+    idle = _slide_directions(x, raw, own, sites, np.zeros(rows))
+    assert idle.tobytes() == (g - geometry.row_dot(g, x)[:, None] * x).tobytes()
 
 def test_arc_augmented_vdiam_below_cross_bound():
     aset = arc_augmented_set(2, 5)
