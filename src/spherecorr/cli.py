@@ -205,6 +205,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", None) is not None and args.threads < 1:
+            raise ValueError(f"threads must be >= 1; got {args.threads}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

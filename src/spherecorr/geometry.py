@@ -107,14 +107,31 @@ def sample_uniform_many(dim: int, count: int, rng: RngStream) -> np.ndarray:
     """Uniform samples on S^dim as a (count, dim+1) array of unit rows.
 
     Normalizes independent standard normal deviates, which is
-    rotation-invariant in every dimension.
+    rotation-invariant in every dimension.  The one-block case of
+    :func:`sample_uniform_blocks`.
+    """
+    return next(sample_uniform_blocks(dim, count, rng, max(count, 1)))
+
+
+def sample_uniform_blocks(dim: int, count: int, rng: RngStream, block: int):
+    """The rows of ``sample_uniform_many(dim, count, rng)``, bitwise, as an
+    iterator of consecutive arrays of at most ``block`` rows.
+
+    Every block continues the stream's one generator, so a check that reduces
+    its draws block by block holds one block at a time.  A count of 0 yields
+    one empty block.
     """
     if dim < 1:
         raise ValueError("sphere dimension must be >= 1")
     if count < 0:
         raise ValueError("sample count must be nonnegative")
-    g = rng.generator().standard_normal((count, dim + 1))
-    return normalize_rows(g)
+    if block < 1:
+        raise ValueError(f"block size must be >= 1; got {block}")
+    gen = rng.generator()
+    return (
+        normalize_rows(gen.standard_normal((min(block, count - start), dim + 1)))
+        for start in range(0, max(count, 1), block)
+    )
 
 
 def normalize_rows(arr: np.ndarray) -> np.ndarray:
@@ -157,6 +174,14 @@ def tangent_step(points: np.ndarray, directions: np.ndarray, steps) -> np.ndarra
     return np.where(flat[..., None], points, moved)
 
 
+def run_heads(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``keys`` that start a run of equal keys."""
+    head = np.empty(len(keys), dtype=bool)
+    head[:1] = True
+    head[1:] = keys[1:] != keys[:-1]
+    return head
+
+
 def hill_climb(state, values, iters: int, step: float, cap: float, decay: float, propose) -> np.ndarray:
     """Raise the values of a batch of states by local moves, in place.
 
@@ -178,7 +203,7 @@ def hill_climb(state, values, iters: int, step: float, cap: float, decay: float,
             break
         owner, scores, moved = propose(it, rows, steps)
         order = np.lexsort((-scores, owner))
-        first = order[np.flatnonzero(np.diff(owner[order], prepend=-1))]
+        first = order[run_heads(owner[order])]
         picks = first[scores[first] > values[owner[first]]]
         won = owner[picks]
         values[won] = scores[picks]

@@ -184,16 +184,29 @@ def sample_in_ordered_cell_many(k: int, m, count: int, rng: RngStream) -> np.nda
 
     Draws uniform sphere points and maps each isometrically (coordinate swap
     plus sign flips) from its own cell onto its target cell; cells have equal
-    measure, so each row is uniform on its target cell.
+    measure, so each row is uniform on its target cell.  The one-block case
+    of :func:`sample_in_ordered_cell_blocks`.
     """
+    return next(sample_in_ordered_cell_blocks(k, m, count, rng, max(count, 1)))
+
+
+def sample_in_ordered_cell_blocks(k: int, m, count: int, rng: RngStream, block: int):
+    """The rows of ``sample_in_ordered_cell_many(k, m, count, rng)``, bitwise,
+    as an iterator of consecutive arrays of at most ``block`` rows."""
     _check_k(k)
     ms = np.broadcast_to(np.asarray(m, dtype=int), (count,))
     if np.any((ms < 1) | (ms > 2 * k + 2)):
         raise ValueError(f"ordered cell index out of range 1..{2 * k + 2}")
+    blocks = geometry.sample_uniform_blocks(k, count, rng, block)
+    starts = range(0, max(count, 1), block)  # the first row of each block
+    return (_into_cells(k, xs, ms[s : s + block]) for s, xs in zip(starts, blocks))
+
+
+def _into_cells(k: int, xs: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """``xs`` with row i moved from its own ordered cell onto cell ms[i], in place."""
     axes, signs, _ = _cell_tables(k)
     axis, sign = axes[ms - 1], signs[ms - 1]
-    xs = geometry.sample_uniform_many(k, count, rng)
-    rows = np.arange(count)
+    rows = np.arange(len(xs))
     src = np.argmax(np.abs(xs), axis=1)
     vals_src = xs[rows, src].copy()
     xs[rows, src] = xs[rows, axis]

@@ -257,7 +257,7 @@ def _slide_directions(x, raw, own_sites, sites, activation):
             hit = np.flatnonzero((viol < 0) & (pair > done[rows]))
             if not hit.size:
                 break
-            hit = hit[np.diff(rows[hit], prepend=-1) != 0]  # each row's first crossing
+            hit = hit[geometry.run_heads(rows[hit])]  # each row's first crossing
             on = rows[hit]
             g[on] -= (viol[hit] / sq[hit])[:, None] * normals[hit]
             done[on] = hit

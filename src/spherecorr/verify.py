@@ -4,7 +4,11 @@ Each invariant check returns a record with the observed worst violation and a
 witness, emitted by the CLI as one JSON line per invariant.  Budgets scale
 with the ``samples`` argument so the same checks serve quick smoke runs and
 long verification sweeps.  An invariant that the acceptance suite checks too
-comes from one function here, which both call.
+comes from one function here, which both call.  The sampled geometry and
+ordered-cell checks draw and reduce their samples in blocks of
+``parallel.SHARD_SIZE`` rows, so their memory does not grow with the budget;
+each block continues its stream's one generator, and a reduction carried
+across blocks gives the bytes it gives on the whole draw.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 from . import geometry, odd_corr, packing, pointsets
 from .distortion import ElementBatch, SearchBudget, estimate_distortion
 from .odd_corr import OddCircleCorrespondence, cell_angles_many
+from .parallel import SHARD_SIZE
 from .rng import RngStream
 from .voronoi_corr import VoronoiCorrespondence, even_cross
 
@@ -60,69 +65,59 @@ def _result(invariant, scope, violation, tol, detail, witness=None):
 # geometry
 # ---------------------------------------------------------------------------
 
-def check_geometry(samples: int, rng: RngStream) -> list[InvariantResult]:
-    out = []
-    n = max(1000, samples // 10)
-    xs = geometry.sample_uniform_many(3, n, rng.child(0))
-    ys = geometry.sample_uniform_many(3, n, rng.child(1))
-    zs = geometry.sample_uniform_many(3, n, rng.child(2))
+def uniform_moments(count: int, rng: RngStream) -> tuple[np.ndarray, float]:
+    """(mean row, fraction with x_0 > 0) of ``sample_uniform_many(2, count, rng)``, bitwise.
+
+    numpy sums a C-contiguous array over axis 0 one row after another, so
+    the sum goes on from the previous blocks' total; adding per-block sums
+    would reassociate it.
+    """
+    total, positive = None, 0
+    for block in geometry.sample_uniform_blocks(2, count, rng, SHARD_SIZE):
+        total = block.sum(axis=0) if total is None else np.vstack([total, block]).sum(axis=0)
+        positive += int(np.count_nonzero(block[:, 0] > 0))
+    return total / count, positive / count
+
+
+def _geometry_maxima(xs, ys, zs, angles, angles2) -> list[float]:
+    """The worst violations of the five distance identities on one block of draws."""
     dxy = geometry.geodesic_many(xs, ys)
-    dyz = geometry.geodesic_many(ys, zs)
-    dxz = geometry.geodesic_many(xs, zs)
-    out.append(
-        _result(
-            "triangle-inequality", "geometry",
-            float(np.max(dxz - dxy - dyz)), 1e-12,
-            f"geodesic triples on S^3, n={n}",
-        )
-    )
-    out.append(
-        _result(
-            "antipodal-invariance", "geometry",
-            float(np.max(np.abs(geometry.geodesic_many(-xs, -ys) - dxy))), 0.0,
-            "d(-x, -y) == d(x, y) exactly",
-        )
-    )
-    proj = geometry.projective_many(xs, ys)
-    folded = np.minimum(dxy, np.pi - dxy)
-    out.append(
-        _result(
-            "projective-fold", "geometry",
-            float(np.max(np.abs(proj - folded))), 1e-12,
-            "arccos|<x,y>| == min(d, pi - d)",
-        )
-    )
-    chords = np.linalg.norm(xs - ys, axis=1)
-    out.append(
-        _result(
-            "chord-identity", "geometry",
-            float(np.max(np.abs(2 * np.sin(dxy / 2) - chords))), 1e-12,
-            "2 sin(d/2) equals the Euclidean chord",
-        )
-    )
-    angles = rng.child(3).generator().uniform(0, 2 * np.pi, size=n)
-    angles2 = rng.child(4).generator().uniform(0, 2 * np.pi, size=n)
     emb1 = np.column_stack([np.cos(angles), np.sin(angles)])
     emb2 = np.column_stack([np.cos(angles2), np.sin(angles2)])
-    circ = geometry.circle_distance_many(angles, angles2)
-    out.append(
+    return [
+        np.max(geometry.geodesic_many(xs, zs) - dxy - geometry.geodesic_many(ys, zs)),
+        np.max(np.abs(geometry.geodesic_many(-xs, -ys) - dxy)),
+        np.max(np.abs(geometry.projective_many(xs, ys) - np.minimum(dxy, np.pi - dxy))),
+        np.max(np.abs(2 * np.sin(dxy / 2) - np.linalg.norm(xs - ys, axis=1))),
+        np.max(np.abs(geometry.circle_distance_many(angles, angles2) - geometry.geodesic_many(emb1, emb2))),
+    ]
+
+
+def check_geometry(samples: int, rng: RngStream) -> list[InvariantResult]:
+    n = max(1000, samples // 10)
+    circle = [rng.child(c).generator() for c in (3, 4)]
+    maxima = [
+        _geometry_maxima(xs, ys, zs, *(gen.uniform(0, 2 * np.pi, size=len(xs)) for gen in circle))
+        for xs, ys, zs in zip(*(geometry.sample_uniform_blocks(3, n, rng.child(c), SHARD_SIZE) for c in range(3)))
+    ]
+    triangle, antipodal, fold, chord, circle_gap = (float(v) for v in np.max(maxima, axis=0))
+    mean, frac = uniform_moments(max(samples, 10000), rng.child(5))
+    mean_dev = float(np.max(np.abs(mean)))
+    return [
+        _result("triangle-inequality", "geometry", triangle, 1e-12, f"geodesic triples on S^3, n={n}"),
+        _result("antipodal-invariance", "geometry", antipodal, 0.0, "d(-x, -y) == d(x, y) exactly"),
+        _result("projective-fold", "geometry", fold, 1e-12, "arccos|<x,y>| == min(d, pi - d)"),
+        _result("chord-identity", "geometry", chord, 1e-12, "2 sin(d/2) equals the Euclidean chord"),
         _result(
-            "circle-embedding", "geometry",
-            float(np.max(np.abs(circ - geometry.geodesic_many(emb1, emb2)))), 1e-12,
+            "circle-embedding", "geometry", circle_gap, 1e-12,
             "angle distance matches geodesic distance on the embedded circle",
-        )
-    )
-    big = geometry.sample_uniform_many(2, max(samples, 10000), rng.child(5))
-    mean_dev = float(np.max(np.abs(big.mean(axis=0))))
-    frac = float(np.mean(big[:, 0] > 0))
-    out.append(
+        ),
         _result(
             "uniform-sampling", "geometry",
             max(mean_dev - 0.02, abs(frac - 0.5) - 0.01, 0.0), 0.0,
             f"mean deviation {mean_dev:.4f}, halfspace fraction {frac:.4f}",
-        )
-    )
-    return out
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +332,68 @@ def check_rpq(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
 
 def cyclic_shift_violation(k: int, count: int, rng: RngStream) -> float:
     """Worst deviation of angle(m+n, A_n x) from angle(m, x) + n pi/(k+1)."""
-    xs = geometry.sample_uniform_many(k, count, rng.child(0))
-    ms = odd_corr.principal_cells_many(k, xs)
-    base = cell_angles_many(k, xs, ms)
-    ns = rng.child(1).generator().integers(0, 2 * k + 2, size=count)
-    lhs = cell_angles_many(k, odd_corr.cyclic_shift(k, ns, xs), (ms + ns - 1) % (2 * k + 2) + 1)
-    rhs = base + ns * np.pi / (k + 1)
-    return float(np.max(geometry.circle_distance_many(lhs, rhs)))
+    shifts = rng.child(1).generator()
+    worst = []
+    for xs in geometry.sample_uniform_blocks(k, count, rng.child(0), SHARD_SIZE):
+        ms = odd_corr.principal_cells_many(k, xs)
+        base = cell_angles_many(k, xs, ms)
+        ns = shifts.integers(0, 2 * k + 2, size=len(xs))
+        lhs = cell_angles_many(k, odd_corr.cyclic_shift(k, ns, xs), (ms + ns - 1) % (2 * k + 2) + 1)
+        rhs = base + ns * np.pi / (k + 1)
+        worst.append(np.max(geometry.circle_distance_many(lhs, rhs)))
+    return float(np.max(worst))
 
 
 def z2_violation(k: int, count: int, rng: RngStream) -> float:
     """Worst deviation of angle(m+k+1, -x) from angle(m, x) + pi."""
-    xs = geometry.sample_uniform_many(k, count, rng)
-    ms = odd_corr.principal_cells_many(k, xs)
-    lhs = cell_angles_many(k, -xs, (ms + k) % (2 * k + 2) + 1)
-    rhs = cell_angles_many(k, xs, ms) + np.pi
-    return float(np.max(geometry.circle_distance_many(lhs, rhs)))
+    worst = []
+    for xs in geometry.sample_uniform_blocks(k, count, rng, SHARD_SIZE):
+        ms = odd_corr.principal_cells_many(k, xs)
+        lhs = cell_angles_many(k, -xs, (ms + k) % (2 * k + 2) + 1)
+        rhs = cell_angles_many(k, xs, ms) + np.pi
+        worst.append(np.max(geometry.circle_distance_many(lhs, rhs)))
+    return float(np.max(worst))
+
+
+def interval_confinement_violation(k: int, count: int, rng: RngStream) -> float:
+    """Worst circle distance of a sampled point's image angle outside its cell's interval."""
+    worst = 0.0
+    for xs in geometry.sample_uniform_blocks(k, count, rng, SHARD_SIZE):
+        ms = odd_corr.principal_cells_many(k, xs)
+        angles = cell_angles_many(k, xs, ms)
+        for m in range(1, 2 * k + 3):
+            rows = np.flatnonzero(ms == m)
+            if rows.size == 0:
+                continue
+            iv = odd_corr.CircleInterval.of_cell(k, m)
+            delta = np.mod(angles[rows] - iv.lo, 2 * np.pi)
+            off = np.minimum(np.abs(delta - np.clip(delta, 0, iv.width)), np.abs(delta - 2 * np.pi))
+            worst = max(worst, float(np.max(off)))
+    return worst
+
+
+def coordinate_gaps(k: int, count: int, rng: RngStream) -> tuple[float, float]:
+    """Worst excess of (x_1 - |z_m|)^2 over |x - z|^2, and of the proof's linear
+    form over |x - z|, on sampled pairs of cell 1 with cells k and k+1."""
+    coeff = np.pi / (2 * k * (k + 1))
+    draws = [
+        odd_corr.sample_in_ordered_cell_blocks(k, m, count, rng.child(c), SHARD_SIZE)
+        for c, m in enumerate((1, k, k + 1))
+    ]
+    sq_gaps, linear_gaps = [], []
+    for xs, *zss in zip(*draws):
+        sum_x = xs.sum(axis=1) / xs[:, 0]
+        for j, zs in zip((k, k + 1), zss):
+            dist2 = np.einsum("ij,ij->i", xs - zs, xs - zs)
+            sq_gaps.append(np.max((xs[:, 0] - np.abs(zs[:, odd_corr.cell_axis(k, j)])) ** 2 - dist2))
+            if j == k:
+                sum_z = (zs[:, : k - 1].sum(axis=1) + zs[:, k - 1] - zs[:, k]) / zs[:, k - 1]
+                lhs = coeff * (sum_x + sum_z - 2 * k)
+            else:
+                sum_z = zs.sum(axis=1) / zs[:, k]
+                lhs = coeff * (sum_x + sum_z)
+            linear_gaps.append(np.max(lhs - np.sqrt(dist2)))
+    return float(np.max(sq_gaps)), float(np.max(linear_gaps))
 
 
 def sample_same_cell_pairs(k: int, count: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -464,20 +505,7 @@ def check_odd(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
         )
     )
 
-    # Image confinement: angles land in the matching interval.
-    worst_conf = 0.0
-    for k in k_values:
-        xs = geometry.sample_uniform_many(k, count, rng.child(120 + k))
-        ms = odd_corr.principal_cells_many(k, xs)
-        angles = cell_angles_many(k, xs, ms)
-        for m in range(1, 2 * k + 3):
-            rows = np.flatnonzero(ms == m)
-            if rows.size == 0:
-                continue
-            iv = odd_corr.CircleInterval.of_cell(k, m)
-            delta = np.mod(angles[rows] - iv.lo, 2 * np.pi)
-            off = np.minimum(np.abs(delta - np.clip(delta, 0, iv.width)), np.abs(delta - 2 * np.pi))
-            worst_conf = max(worst_conf, float(np.max(off)))
+    worst_conf = max(interval_confinement_violation(k, count, rng.child(120 + k)) for k in k_values)
     out.append(
         _result(
             "interval-confinement", "odd", worst_conf, 1e-9,
@@ -486,36 +514,18 @@ def check_odd(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
     )
 
     # Euclidean comparison inequalities used by the distortion proof.
-    worst_sq = 0.0
-    worst_simple = 0.0
-    for k in k_values:
-        gen_rng = rng.child(150 + k)
-        xs = odd_corr.sample_in_ordered_cell_many(k, 1, count, gen_rng.child(0))
-        for idx, j in enumerate((k, k + 1)):
-            zs = odd_corr.sample_in_ordered_cell_many(k, j, count, gen_rng.child(1 + idx))
-            axis = odd_corr.cell_axis(k, j)
-            sq = (xs[:, 0] - np.abs(zs[:, axis])) ** 2
-            dist2 = np.einsum("ij,ij->i", xs - zs, xs - zs)
-            worst_sq = max(worst_sq, float(np.max(sq - dist2)))
-            coeff = np.pi / (2 * k * (k + 1))
-            sum_x = xs.sum(axis=1) / xs[:, 0]
-            if j == k:
-                sum_z = (zs[:, : k - 1].sum(axis=1) + zs[:, k - 1] - zs[:, k]) / zs[:, k - 1]
-                lhs = coeff * (sum_x + sum_z - 2 * k)
-            else:
-                sum_z = zs.sum(axis=1) / zs[:, k]
-                lhs = coeff * (sum_x + sum_z)
-            gap = lhs - np.sqrt(dist2)
-            worst_simple = max(worst_simple, float(np.max(gap)))
+    gaps = [coordinate_gaps(k, count, rng.child(150 + k)) for k in k_values]
+    worst_sq = max(0.0, *(sq for sq, _ in gaps))
+    worst_simple = max(0.0, *(linear for _, linear in gaps))
     out.append(
         _result(
-            "coordinate-gap-inequality", "odd", max(worst_sq, 0.0), 1e-12,
+            "coordinate-gap-inequality", "odd", worst_sq, 1e-12,
             "(x_1 - |z_m|)^2 <= |x - z|^2 on sampled cell pairs",
         )
     )
     out.append(
         _result(
-            "reduced-case-inequality", "odd", max(worst_simple, 0.0), 1e-12,
+            "reduced-case-inequality", "odd", worst_simple, 1e-12,
             "the sufficient linear form stays below the Euclidean distance",
         )
     )

@@ -145,6 +145,24 @@ def test_distortion_rejects_fewer_than_one_thread(capsys, threads):
     assert out == ""
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("packing", "--n", "2", "--k", "5"),
+    ("table", "--n", "2", "--k", "3..4"),
+    ("verify", "--scope", "geometry"),
+    ("verify", "--scope", "packing"),
+    ("verify", "--scope", "pointsets"),
+])
+def test_commands_reject_fewer_than_one_thread(capsys, argv, threads):
+    # packing and table run serially, but a worker count below one is still a usage error;
+    # test_distortion_rejects_fewer_than_one_thread covers distortion
+    code = main([*argv, "--threads", threads])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "threads must be >= 1" in captured.err
+
+
 def test_distortion_byte_identical_across_threads(capsys):
     outs = []
     for threads in ("1", "4", "8"):
@@ -230,6 +248,22 @@ def test_distortion_bytes_are_pinned(capsys, corr, k, digest):
     # an angle map or a distance kernel that moves one of them fails here
     code, out = run_cli(capsys, "distortion", "--corr", corr, "--k", str(k), "--samples", "65536", "--seed", "0")
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (("--scope", "geometry", "--samples", "400000", "--seed", "0"), 0,
+     "bc88853a01d8d079aed71cec392e9425a388fe6baa6f8a5eac70ccf86de246d5"),
+    (("--scope", "odd", "--k", "3", "--samples", "70000", "--seed", "0"), 0,
+     "06862e3c08f7d9babc79c735b343c9a82ea1733683114dc238bab2cce6353fba"),
+    (("--scope", "odd", "--k", "3", "--seed", "107"), 1,
+     "fd92590d7b52821812823a26466aa6cff746e440f7cb014b7773d7cbcba83338"),
+])
+def test_verify_bytes_across_blocks_are_pinned(capsys, argv, code, digest):
+    # budgets whose sampled checks span several parallel.SHARD_SIZE blocks; seed 107
+    # is the known boundary-search failure, whose bytes hold too
+    got, out = run_cli(capsys, "verify", *argv)
+    assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

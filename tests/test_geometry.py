@@ -12,8 +12,10 @@ from spherecorr.geometry import (
     normalize_rows,
     projective_many,
     row_dot,
+    sample_uniform_blocks,
     sample_uniform_many,
 )
+from spherecorr.parallel import SHARD_SIZE
 
 E1 = UnitVector([1, 0, 0]).coords
 E2 = UnitVector([0, 1, 0]).coords
@@ -214,6 +216,20 @@ def test_sample_uniform_statistics():
 def test_sample_uniform_rejects_bad_dim():
     with pytest.raises(ValueError):
         sample_uniform_many(0, 5, RngStream(0))
+
+
+@pytest.mark.parametrize("block", [1, 7, SHARD_SIZE])
+@pytest.mark.parametrize("count", [0, 1, SHARD_SIZE + 1])
+def test_uniform_blocks_concatenate_to_the_whole_draw(block, count):
+    blocks = list(sample_uniform_blocks(3, count, RngStream(4, (1,)), block))
+    assert all(len(b) <= block for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), sample_uniform_many(3, count, RngStream(4, (1,))))
+
+
+@pytest.mark.parametrize("block", [0, -1])
+def test_uniform_blocks_reject_a_block_below_one(block):
+    with pytest.raises(ValueError, match="block size must be >= 1"):
+        sample_uniform_blocks(3, 10, RngStream(0), block)
 
 
 def test_rng_stream_reproducibility():

@@ -13,6 +13,7 @@ from spherecorr import (
 from spherecorr import odd_corr
 from spherecorr.distortion import ElementBatch, _in_relation, _objectives
 from spherecorr.geometry import circle_distance_many, geodesic_many, sample_uniform_many
+from spherecorr.parallel import SHARD_SIZE
 from spherecorr.pointsets import cell_mask, cross_polytope_set
 
 PI24 = np.pi / 24
@@ -272,6 +273,13 @@ def test_ordered_cell_sampler_takes_per_row_cells():
     for bad in (0, 2 * k + 3):
         with pytest.raises(ValueError):
             odd_corr.sample_in_ordered_cell_many(k, bad, 4, RngStream(0))
+
+
+@pytest.mark.parametrize("k, block", [(3, 1), (3, 7), (5, SHARD_SIZE)])
+def test_ordered_cell_blocks_concatenate_to_the_whole_draw(k, block):
+    for m, count in ((1, SHARD_SIZE + 1), (k + 1, 0), (np.arange(20) % (2 * k + 2) + 1, 20)):
+        blocks = list(odd_corr.sample_in_ordered_cell_blocks(k, m, count, RngStream(22), block))
+        assert np.array_equal(np.concatenate(blocks), odd_corr.sample_in_ordered_cell_many(k, m, count, RngStream(22)))
 
 
 # -- witnesses and search support --------------------------------------------
