@@ -167,7 +167,7 @@ def _close(p: np.ndarray, q: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Row-wise coordinate comparison that treats angles modulo 2*pi."""
     if p.ndim == 1:
         return geometry.circle_distance_many(p, q) <= tol
-    return np.max(np.abs(p - q), axis=1) <= tol
+    return geometry.row_max(np.abs(p - q)) <= tol
 
 
 def pair_objective(corr: Correspondence, e1: RelationElement, e2: RelationElement) -> float:

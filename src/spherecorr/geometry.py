@@ -22,6 +22,10 @@ TWO_PI = 2.0 * np.pi
 # below it the arccos is accurate to about 1e-15, and it is several times cheaper.
 HALF_CHORD_COS = 0.99
 
+# Reductions over the coordinate axis of rows narrower than this go column by
+# column, one numpy call per column in place of one per row, with numpy's bits.
+COLUMN_LOOP_WIDTH = 8
+
 
 def clip_cosine(c):
     """Clamp cosines into [-1, 1] before arccos.
@@ -82,6 +86,46 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def row_norms(arr: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, bitwise ``np.linalg.norm(arr, axis=-1)``.
+
+    Rows narrower than COLUMN_LOOP_WIDTH take :func:`row_dot`'s column loop,
+    which adds left to right as numpy does below 8 terms, and costs one
+    dispatch per column where numpy's reduction costs one per row.  Wider
+    rows keep numpy's pairwise sum, whose order the loop would not match.
+    """
+    if arr.shape[-1] < COLUMN_LOOP_WIDTH:
+        return np.sqrt(row_dot(arr, arr))
+    return np.sqrt(np.add.reduce(arr * arr, axis=-1))
+
+
+def row_max(arr: np.ndarray) -> np.ndarray:
+    """Maxima over the last axis, bitwise ``np.max(arr, axis=-1)``, one
+    ``np.maximum`` per column below COLUMN_LOOP_WIDTH (see :func:`_fold_columns`)."""
+    return _fold_columns(np.maximum, arr)
+
+
+def row_min(arr: np.ndarray) -> np.ndarray:
+    """Minima over the last axis, bitwise ``np.min(arr, axis=-1)``, one
+    ``np.minimum`` per column below COLUMN_LOOP_WIDTH (see :func:`_fold_columns`)."""
+    return _fold_columns(np.minimum, arr)
+
+
+def _fold_columns(op, arr: np.ndarray) -> np.ndarray:
+    """``op.reduce(arr, axis=-1)`` with the narrow rows folded column by column.
+
+    Values agree at any width, but numpy's vectorized reduction over rows
+    of 9 or more breaks a tie of 0.0 and -0.0 in its own order, so rows from
+    COLUMN_LOOP_WIDTH up keep the reduction.
+    """
+    if arr.shape[-1] >= COLUMN_LOOP_WIDTH:
+        return op.reduce(arr, axis=-1)
+    out = arr[..., 0].copy()
+    for j in range(1, arr.shape[-1]):
+        op(out, arr[..., j], out=out)
+    return out
+
+
 def geodesic_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise geodesic distances of unit rows, accurate at 0 and pi.
 
@@ -138,9 +182,12 @@ def normalize_rows(arr: np.ndarray) -> np.ndarray:
     """Normalize the rows of an array to unit Euclidean norm.
 
     The norms are what ``np.linalg.norm(arr, axis=-1, keepdims=True)``
-    computes, without its Python wrapper.
+    computes, bitwise, from :func:`row_norms`: the sum of squares goes column
+    by column, left to right, over rows narrower than COLUMN_LOOP_WIDTH,
+    where numpy adds in the same order, and wider rows keep numpy's pairwise
+    sum.
     """
-    norms = np.sqrt(np.add.reduce(arr * arr, axis=-1, keepdims=True))
+    norms = row_norms(arr)[..., None]
     if (norms == 0.0).any():
         raise ValueError("cannot normalize a zero row")
     return arr / norms

@@ -77,7 +77,7 @@ def _cell_mask(k: int, coords: np.ndarray, tol: float) -> np.ndarray:
     """(..., 2k+2) mask of the ordered cells containing each row of ``coords``."""
     axes, signs, _ = _cell_tables(k)
     vals = coords[..., axes]
-    top = np.max(np.abs(coords), axis=-1, keepdims=True)
+    top = geometry.row_max(np.abs(coords))[..., None]
     return (signs * vals > 0) & (np.abs(vals) >= top - tol)
 
 
@@ -101,18 +101,25 @@ class CircleInterval:
 
 
 def cell_angles_many(k: int, xs: np.ndarray, ms: np.ndarray) -> np.ndarray:
-    """Vectorized image angles; row i of xs is assumed to lie in cell ms[i]."""
+    """Vectorized image angles; row i of xs is assumed to lie in cell ms[i].
+
+    A cell of the second half maps through its antipodal cell, that is
+    through -x.  Negating a row negates its prefix sums and x_m exactly, so
+    the quotient below is the same without the negated copy.
+    """
     ms = np.asarray(ms, dtype=int)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     second_half = ms > k + 1
     m1 = np.where(second_half, ms - (k + 1), ms)
-    base = np.where(second_half[:, None], -xs, xs)
-    rows = np.arange(xs.shape[0])
     axis = m1 - 1
-    csum = np.cumsum(base, axis=1)
-    total = csum[:, -1]
-    xm = base[rows, axis]
-    prefix = np.where(axis > 0, csum[rows, np.maximum(axis - 1, 0)], 0.0)
+    # One running sum, left to right as np.cumsum adds: it is x_1+..+x_{m-1}
+    # when it reaches axis m, and the total at the end.
+    prefix = np.zeros(len(xs))
+    total = xs[:, 0].copy()
+    for j in range(1, xs.shape[1]):
+        np.copyto(prefix, total, where=axis == j)
+        total += xs[:, j]
+    xm = xs[np.arange(len(xs)), axis]
     signed_sum = 2.0 * prefix + xm - total  # x_1+..+x_{m-1} - x_{m+1}-..-x_{k+1}
     coeff = np.pi / (2.0 * k * (k + 1))
     angles = (m1 - 1) * np.pi / (k + 1) + coeff * signed_sum / xm
@@ -123,6 +130,7 @@ def cell_angles_many(k: int, xs: np.ndarray, ms: np.ndarray) -> np.ndarray:
 def principal_cells_many(k: int, xs: np.ndarray) -> np.ndarray:
     """For each row, the ordered cell of its largest-magnitude coordinate."""
     xs = np.asarray(xs, dtype=float)
+    # numpy's argmax stays: a column loop took 0.66 ms to its 0.67 on (32768, 4)
     axis = np.argmax(np.abs(xs), axis=1)
     positive = xs[np.arange(xs.shape[0]), axis] > 0
     return _cell_tables(k)[2][axis, positive.astype(int)]
@@ -172,7 +180,7 @@ def sample_cell_boundary_many(k: int, m1: int, m2: int, count: int, rng: RngStre
         raise ValueError(f"ordered cells {m1} and {m2} do not share boundary points")
     gen = rng.generator()
     g = gen.standard_normal((count, k + 1))
-    top = np.max(np.abs(g), axis=1)
+    top = geometry.row_max(np.abs(g))
     axes, signs, _ = _cell_tables(k)
     g[:, axes[m1 - 1]] = signs[m1 - 1] * top
     g[:, axes[m2 - 1]] = signs[m2 - 1] * top
@@ -207,6 +215,7 @@ def _into_cells(k: int, xs: np.ndarray, ms: np.ndarray) -> np.ndarray:
     axes, signs, _ = _cell_tables(k)
     axis, sign = axes[ms - 1], signs[ms - 1]
     rows = np.arange(len(xs))
+    # numpy's argmax stays: a column loop took 0.66 ms to its 0.67 on (32768, 4)
     src = np.argmax(np.abs(xs), axis=1)
     vals_src = xs[rows, src].copy()
     xs[rows, src] = xs[rows, axis]
@@ -271,7 +280,7 @@ class OddCircleCorrespondence(Correspondence):
         edges = np.abs(xs[np.arange(len(cells)), axes[cells]])
         # A point admitted through the tolerance lies slightly outside its
         # cell; clip it onto the closed cell so the pair it forms really exists.
-        out = edges < np.max(np.abs(xs), axis=1)
+        out = edges < geometry.row_max(np.abs(xs))
         clipped = np.clip(xs[out], -edges[out, None], edges[out, None])
         xs[out] = clipped / np.sqrt(geometry.row_dot(clipped, clipped))[:, None]
         angles = cell_angles_many(self.k, xs, cells + 1)

@@ -72,6 +72,7 @@ class AntipodalSet:
 
     def nearest_site_many(self, xs: np.ndarray) -> np.ndarray:
         """0-based nearest-site index for each row of ``xs`` (ties -> lowest)."""
+        # numpy's argmax stays: a column loop took 3.3 ms to its 1.2 on (32768, 10)
         return np.argmax(xs @ self._points.T, axis=1)
 
 
@@ -224,7 +225,7 @@ def hausdorff_to_sphere_estimate(aset: AntipodalSet) -> float:
 def cell_mask(aset: AntipodalSet, xs: np.ndarray) -> np.ndarray:
     """(rows, 2m) mask of the cells whose site distance is within ``CELL_TOL`` of each row's minimum."""
     dists = aset.site_distances(xs)
-    return dists <= dists.min(axis=1, keepdims=True) + CELL_TOL
+    return dists <= geometry.row_min(dists)[:, None] + CELL_TOL
 
 
 # ---------------------------------------------------------------------------

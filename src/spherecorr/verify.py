@@ -5,10 +5,10 @@ witness, emitted by the CLI as one JSON line per invariant.  Budgets scale
 with the ``samples`` argument so the same checks serve quick smoke runs and
 long verification sweeps.  An invariant that the acceptance suite checks too
 comes from one function here, which both call.  The sampled geometry and
-ordered-cell checks draw and reduce their samples in blocks of
-``parallel.SHARD_SIZE`` rows, so their memory does not grow with the budget;
-each block continues its stream's one generator, and a reduction carried
-across blocks gives the bytes it gives on the whole draw.
+ordered-cell checks draw and reduce their samples in blocks of BLOCK_ROWS
+rows, so their memory does not grow with the budget; each block continues
+its stream's one generator, and a reduction carried across blocks gives the
+bytes it gives on the whole draw.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 from . import geometry, odd_corr, packing, pointsets
 from .distortion import ElementBatch, SearchBudget, estimate_distortion
 from .odd_corr import OddCircleCorrespondence, cell_angles_many
-from .parallel import SHARD_SIZE
 from .rng import RngStream
 from .voronoi_corr import VoronoiCorrespondence, even_cross
 
@@ -28,6 +27,11 @@ SCOPES = ("geometry", "pointsets", "rpq", "odd", "packing")
 
 # Default sample budget of a verify run, for the library and the CLI.
 DEFAULT_SAMPLES = 20000
+
+# Rows per block of the streamed checks.  Blocks of 8192 rows hold the
+# geometry checks' temporaries to about 2 MB (8.7 MB at 32768 rows), and
+# run no slower.
+BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -69,13 +73,16 @@ def uniform_moments(count: int, rng: RngStream) -> tuple[np.ndarray, float]:
     """(mean row, fraction with x_0 > 0) of ``sample_uniform_many(2, count, rng)``, bitwise.
 
     numpy sums a C-contiguous array over axis 0 one row after another, so
-    the sum goes on from the previous blocks' total; adding per-block sums
+    the sum goes on from the previous blocks' total, added into the first row
+    of the block (a fresh draw, used for nothing else); adding per-block sums
     would reassociate it.
     """
     total, positive = None, 0
-    for block in geometry.sample_uniform_blocks(2, count, rng, SHARD_SIZE):
-        total = block.sum(axis=0) if total is None else np.vstack([total, block]).sum(axis=0)
+    for block in geometry.sample_uniform_blocks(2, count, rng, BLOCK_ROWS):
         positive += int(np.count_nonzero(block[:, 0] > 0))
+        if total is not None:
+            block[0] += total
+        total = block.sum(axis=0)
     return total / count, positive / count
 
 
@@ -88,7 +95,7 @@ def _geometry_maxima(xs, ys, zs, angles, angles2) -> list[float]:
         np.max(geometry.geodesic_many(xs, zs) - dxy - geometry.geodesic_many(ys, zs)),
         np.max(np.abs(geometry.geodesic_many(-xs, -ys) - dxy)),
         np.max(np.abs(geometry.projective_many(xs, ys) - np.minimum(dxy, np.pi - dxy))),
-        np.max(np.abs(2 * np.sin(dxy / 2) - np.linalg.norm(xs - ys, axis=1))),
+        np.max(np.abs(2 * np.sin(dxy / 2) - geometry.row_norms(xs - ys))),
         np.max(np.abs(geometry.circle_distance_many(angles, angles2) - geometry.geodesic_many(emb1, emb2))),
     ]
 
@@ -98,7 +105,7 @@ def check_geometry(samples: int, rng: RngStream) -> list[InvariantResult]:
     circle = [rng.child(c).generator() for c in (3, 4)]
     maxima = [
         _geometry_maxima(xs, ys, zs, *(gen.uniform(0, 2 * np.pi, size=len(xs)) for gen in circle))
-        for xs, ys, zs in zip(*(geometry.sample_uniform_blocks(3, n, rng.child(c), SHARD_SIZE) for c in range(3)))
+        for xs, ys, zs in zip(*(geometry.sample_uniform_blocks(3, n, rng.child(c), BLOCK_ROWS) for c in range(3)))
     ]
     triangle, antipodal, fold, chord, circle_gap = (float(v) for v in np.max(maxima, axis=0))
     mean, frac = uniform_moments(max(samples, 10000), rng.child(5))
@@ -334,7 +341,7 @@ def cyclic_shift_violation(k: int, count: int, rng: RngStream) -> float:
     """Worst deviation of angle(m+n, A_n x) from angle(m, x) + n pi/(k+1)."""
     shifts = rng.child(1).generator()
     worst = []
-    for xs in geometry.sample_uniform_blocks(k, count, rng.child(0), SHARD_SIZE):
+    for xs in geometry.sample_uniform_blocks(k, count, rng.child(0), BLOCK_ROWS):
         ms = odd_corr.principal_cells_many(k, xs)
         base = cell_angles_many(k, xs, ms)
         ns = shifts.integers(0, 2 * k + 2, size=len(xs))
@@ -347,7 +354,7 @@ def cyclic_shift_violation(k: int, count: int, rng: RngStream) -> float:
 def z2_violation(k: int, count: int, rng: RngStream) -> float:
     """Worst deviation of angle(m+k+1, -x) from angle(m, x) + pi."""
     worst = []
-    for xs in geometry.sample_uniform_blocks(k, count, rng, SHARD_SIZE):
+    for xs in geometry.sample_uniform_blocks(k, count, rng, BLOCK_ROWS):
         ms = odd_corr.principal_cells_many(k, xs)
         lhs = cell_angles_many(k, -xs, (ms + k) % (2 * k + 2) + 1)
         rhs = cell_angles_many(k, xs, ms) + np.pi
@@ -358,7 +365,7 @@ def z2_violation(k: int, count: int, rng: RngStream) -> float:
 def interval_confinement_violation(k: int, count: int, rng: RngStream) -> float:
     """Worst circle distance of a sampled point's image angle outside its cell's interval."""
     worst = 0.0
-    for xs in geometry.sample_uniform_blocks(k, count, rng, SHARD_SIZE):
+    for xs in geometry.sample_uniform_blocks(k, count, rng, BLOCK_ROWS):
         ms = odd_corr.principal_cells_many(k, xs)
         angles = cell_angles_many(k, xs, ms)
         for m in range(1, 2 * k + 3):
@@ -377,7 +384,7 @@ def coordinate_gaps(k: int, count: int, rng: RngStream) -> tuple[float, float]:
     form over |x - z|, on sampled pairs of cell 1 with cells k and k+1."""
     coeff = np.pi / (2 * k * (k + 1))
     draws = [
-        odd_corr.sample_in_ordered_cell_blocks(k, m, count, rng.child(c), SHARD_SIZE)
+        odd_corr.sample_in_ordered_cell_blocks(k, m, count, rng.child(c), BLOCK_ROWS)
         for c, m in enumerate((1, k, k + 1))
     ]
     sq_gaps, linear_gaps = [], []

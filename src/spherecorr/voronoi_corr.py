@@ -65,9 +65,18 @@ class VoronoiCorrespondence(Correspondence):
         ys = geometry.sample_uniform_many(self.Q.dim, count - n_low, rng.child(1))
         low = self._elements(0, xs, self.P.nearest_site_many(xs))
         high = self._elements(1, ys, self.Q.nearest_site_many(ys))
-        # Shuffle so that pairing the two batch halves mixes the directions.
+        # Shuffle so that pairing the two batch halves mixes the directions:
+        # row i is row perm[i] of low-then-high, so row j of that lands in slot[j].
         perm = rng.child(2).generator().permutation(count)
-        return ElementBatch(*(np.concatenate(col)[perm] for col in zip(low, high)))
+        slot = np.empty(count, dtype=perm.dtype)
+        slot[perm] = np.arange(count)
+        cols = []
+        for lo, hi in zip(low, high):
+            col = np.empty((count, *lo.shape[1:]), dtype=lo.dtype)
+            col[slot[:n_low]] = lo
+            col[slot[n_low:]] = hi
+            cols.append(col)
+        return ElementBatch(*cols)
 
     def variants_many(self, side, frees):
         if side not in (0, 1):

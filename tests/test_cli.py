@@ -242,6 +242,9 @@ def test_verify_bytes_are_pinned(capsys):
     ("odd-rk", 3, "1cb2f60d6d1c78a57605357887ee258e699651f86b964818d35bd63889663bc6"),
     ("odd-rk", 5, "987a8136a5767032baa379ddb95b5c3b3de5d658d3817651d892f06d3d7320fc"),
     ("rpq-even-cross", 4, "98c65f17995ca94475b38f520384145fdc84e8b4d38b891233b1cb911ef47758"),
+    # rows 10 wide, where the sums of squares keep numpy's pairwise order
+    ("odd-rk", 9, "38bb33dbce30215be2d7646a4a14a1da7ca61cb83fa9ac2e40da013e4fc98e6d"),
+    ("rpq-even-cross", 9, "f5b59137ebfdb6100380544ae4a8f9419d46a92fe446f59f219eee991e33f79b"),
 ])
 def test_distortion_bytes_are_pinned(capsys, corr, k, digest):
     # the estimate, its witness and the printed bound: a change to a cell table,
@@ -260,7 +263,7 @@ def test_distortion_bytes_are_pinned(capsys, corr, k, digest):
      "fd92590d7b52821812823a26466aa6cff746e440f7cb014b7773d7cbcba83338"),
 ])
 def test_verify_bytes_across_blocks_are_pinned(capsys, argv, code, digest):
-    # budgets whose sampled checks span several parallel.SHARD_SIZE blocks; seed 107
+    # budgets whose sampled checks span several verify.BLOCK_ROWS blocks; seed 107
     # is the known boundary-search failure, whose bytes hold too
     got, out = run_cli(capsys, "verify", *argv)
     assert got == code

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,24 @@ def test_focus_batches_have_aligned_pair_rows(corr):
     half = rows // 2
     # both elements of every focus pair carry their free point on the same side
     assert np.array_equal(batch.side[:half], batch.side[half:])
+
+
+@pytest.mark.parametrize("sampler, digest", [
+    (lambda: OddCircleCorrespondence(3).sample_batch(5000, RngStream(0)),
+     "d3b6152d18bda0e360f9de4c1ab0599b24a03e84c83a920ae7fb1093180a83ce"),
+    (lambda: OddCircleCorrespondence(3).sample_focus_pairs(5000, RngStream(0)),
+     "07a7de348327fa4d34696a55e672a49bf9337cbe8f5557876e3d318f4ed86a58"),
+    (lambda: VoronoiCorrespondence(evenly_spaced_circle_set(5), cross_polytope_set(4)).sample_batch(5000, RngStream(0)),
+     "b3b28ec1cdcc75dda8174efc85397aad4868ed3d424632b5cc00773ce55d2a49"),
+], ids=["odd3-batch", "odd3-focus", "rpq4-batch"])
+def test_sampler_columns_are_pinned(sampler, digest):
+    # every column of a phase A batch, bit for bit: a kernel that reorders a
+    # reduction or drops a copy must leave these bytes alone
+    batch = sampler()
+    h = hashlib.sha256()
+    for col in batch.columns:
+        h.update(np.ascontiguousarray(col).tobytes())
+    assert h.hexdigest() == digest
 
 
 def sort_and_skip_picks(obj, keys, restarts):

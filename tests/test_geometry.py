@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spherecorr import RngStream, UnitVector
 from spherecorr.geometry import (
+    COLUMN_LOOP_WIDTH,
     HALF_CHORD_COS,
     circle_distance_many,
     clip_cosine,
@@ -12,6 +14,9 @@ from spherecorr.geometry import (
     normalize_rows,
     projective_many,
     row_dot,
+    row_max,
+    row_min,
+    row_norms,
     sample_uniform_blocks,
     sample_uniform_many,
 )
@@ -187,11 +192,40 @@ def test_clip_cosine_matches_np_clip_bitwise():
     assert clip_cosine(arr).tobytes() == np.clip(arr, -1.0, 1.0).tobytes()
 
 
-@pytest.mark.parametrize("shape", [(5,), (9, 3), (4, 7, 3), (32768, 4)])
+@pytest.mark.parametrize("shape", [
+    (5,), (9, 3), (4, 7, 3), (32768, 4), (1000, 2), (1000, 7), (1000, 8), (1000, 10), (1000, 30), (3, 5, 10),
+])
 def test_normalize_rows_matches_linalg_norm_bitwise(shape):
+    # rows below COLUMN_LOOP_WIDTH sum column by column; 8 and up take numpy's pairwise sum
     arr = np.random.default_rng(sum(shape)).normal(size=shape) * 3.0
-    want = arr / np.linalg.norm(arr, axis=-1, keepdims=True)
-    assert normalize_rows(arr).tobytes() == want.tobytes()
+    norms = np.linalg.norm(arr, axis=-1, keepdims=True)
+    assert row_norms(arr).tobytes() == norms[..., 0].tobytes()
+    assert normalize_rows(arr).tobytes() == (arr / norms).tobytes()
+
+
+TIE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf])
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=12),
+        elements=TIE_VALUES | st.floats(allow_nan=False),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_row_max_and_row_min_match_numpy_bitwise(arr):
+    # ties, both zeros and both infinities, at widths on both sides of COLUMN_LOOP_WIDTH
+    assert row_max(arr).tobytes() == np.max(arr, axis=-1).tobytes()
+    assert row_min(arr).tobytes() == np.min(arr, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("width", [2, 4, 7, COLUMN_LOOP_WIDTH, 9, 10, 17])
+def test_row_max_and_row_min_match_numpy_on_signed_zero_ties(width):
+    # numpy's vectorized reduction over wide rows breaks 0.0 / -0.0 ties in its own order
+    arr = np.random.default_rng(width).choice([0.0, -0.0, -np.inf, np.inf], size=(2000, width))
+    assert row_max(arr).tobytes() == np.max(arr, axis=-1).tobytes()
+    assert row_min(arr).tobytes() == np.min(arr, axis=-1).tobytes()
 
 
 def test_normalize_rows_rejects_a_zero_row():

@@ -134,6 +134,38 @@ def test_angles_confined_to_intervals():
             assert np.all((delta <= interval.width + 1e-9) | (delta >= 2 * np.pi - 1e-9))
 
 
+def negated_copy_angles(k, xs, ms):
+    """Reference: the cell map through an explicit -x copy for second-half cells and np.cumsum."""
+    second_half = ms > k + 1
+    m1 = np.where(second_half, ms - (k + 1), ms)
+    base = np.where(second_half[:, None], -xs, xs)
+    rows, axis = np.arange(xs.shape[0]), m1 - 1
+    csum = np.cumsum(base, axis=1)
+    xm = base[rows, axis]
+    prefix = np.where(axis > 0, csum[rows, np.maximum(axis - 1, 0)], 0.0)
+    signed_sum = 2.0 * prefix + xm - csum[:, -1]
+    angles = (m1 - 1) * np.pi / (k + 1) + np.pi / (2.0 * k * (k + 1)) * signed_sum / xm
+    return np.mod(angles + np.where(second_half, np.pi, 0.0), 2 * np.pi)
+
+
+@pytest.mark.parametrize("k", [3, 5, 9])
+def test_cell_angles_match_the_negated_copy_bitwise(k):
+    # every cell of both halves, on rows with zero coordinates of either sign among them
+    gen = np.random.default_rng(k)
+    xs = sample_uniform_many(k, 4000, RngStream(8).child(k))
+    xs[gen.random(xs.shape) < 0.2] = 0.0
+    xs[gen.random(xs.shape) < 0.1] = -0.0
+    xs[::7] = np.round(xs[::7], 1)  # exact cancellations in the signed sums
+    for m in range(1, 2 * k + 3):
+        rows = xs[xs[:, odd_corr.cell_axis(k, m)] != 0.0]
+        ms = np.full(len(rows), m)
+        got = odd_corr.cell_angles_many(k, rows, ms)
+        assert got.tobytes() == negated_copy_angles(k, rows, ms).tobytes(), m
+    xs = xs[np.any(xs != 0.0, axis=1)]
+    ms = odd_corr.principal_cells_many(k, xs)
+    assert odd_corr.cell_angles_many(k, xs, ms).tobytes() == negated_copy_angles(k, xs, ms).tobytes()
+
+
 def test_intervals_tile_circle():
     k = 5
     total = sum(CircleInterval.of_cell(k, m).width for m in range(1, 2 * k + 3))

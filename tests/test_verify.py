@@ -95,6 +95,15 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("block", [1000, SHARD_SIZE])
+def test_geometry_checks_do_not_depend_on_the_block_size(monkeypatch, block):
+    # maxima are exact in any grouping, the mean is carried row after row,
+    # and every block continues its stream's generator
+    want = [r.to_json_dict() for r in verify.check_geometry(400_000, RngStream(2))]
+    monkeypatch.setattr(verify, "BLOCK_ROWS", block)
+    assert [r.to_json_dict() for r in verify.check_geometry(400_000, RngStream(2))] == want
+
+
 def test_check_geometry_memory_does_not_grow_with_samples():
     # both budgets fill whole blocks; a whole draw of 4M samples holds over 300 MB
     verify.check_geometry(1000, RngStream(0))
