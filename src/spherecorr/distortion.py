@@ -243,7 +243,8 @@ def _climb_pairs(corr, first: ElementBatch, second: ElementBatch, iters, rngs) -
     toward and away from the other free point when both live on one side.
     Row i draws its random directions from ``rngs[i]`` as one block up front,
     in move order, so no row's path depends on the others.  Rows are grouped
-    by the mover's side, whose free points may live on another sphere.
+    by the mover's side, whose free points may live on another sphere; an
+    element keeps its side, so only its a, b and stratum are written back.
     """
     pair = (first, second)
     values = _objectives(corr, first, second)
@@ -251,40 +252,42 @@ def _climb_pairs(corr, first: ElementBatch, second: ElementBatch, iters, rngs) -
         return values
 
     def free(batch, rows, side):
-        return batch.a[rows] if side == 0 else batch.b[rows]
+        return (batch.a if side == 0 else batch.b).take(rows, axis=0)
 
+    # row i's random normals by parity, each side's d columns in front of a zero pad
     moves = ((iters + 1) // 2, iters // 2)
-    normals = ([], [])
+    width = max((free(b, [0], s).shape[1] for b in pair for s in np.unique(b.side)), default=0)
+    normals = np.zeros((2, len(rngs), moves[0], width))
     for i, row_rng in enumerate(rngs):
         d0, d1 = (free(b, [i], b.side[i]).shape[1] for b in pair)
         flat = row_rng.generator().standard_normal(moves[0] * d0 + moves[1] * d1)
         block = np.pad(flat, (0, (moves[0] - moves[1]) * d1)).reshape(moves[0], d0 + d1)
-        normals[0].append(block[:, :d0])
-        normals[1].append(block[:, d0:])
+        normals[0, i, :, :d0], normals[1, i, :, :d1] = block[:, :d0], block[:, d0:]
+    # proposals kept per row: the random one, then toward and away when both sides agree
+    keep = (first.side == second.side)[:, None] | (np.arange(3) == 0)
+    groups = [[(s, mover.side == s) for s in np.unique(mover.side)] for mover in pair]
 
     def propose(it, rows, steps):
         p = it % 2
         mover, other = pair[p], pair[1 - p]
-        owners, batches = [], []
-        for s in np.unique(mover.side[rows]):
-            g = rows[mover.side[rows] == s]
-            x, st = free(mover, g, s), steps[g]
-            props = [geometry.tangent_step(x, np.array([normals[p][i][it // 2] for i in g]), st)]
-            same = other.side[g] == s
-            if same.any():
-                ox = free(other, g, s)
-                props += [geometry.tangent_step(x, ox - x, st), geometry.tangent_step(x, x - ox, st)]
-            keep = np.column_stack([np.ones_like(same), same, same])[:, : len(props)]
-            prop_rows, prop_idx = np.nonzero(keep)
-            batch, owner = corr.variants_many(s, np.stack(props, axis=1)[prop_rows, prop_idx])
-            owners.append(g[prop_rows[owner]])
-            batches.append(batch)
-        owner = np.concatenate(owners)
-        found, kept = ElementBatch.concat(batches), other.take(owner)
-        moved = (found, kept) if p == 0 else (kept, found)
-        return owner, _objectives(corr, found, kept), moved[0].columns + moved[1].columns
+        owners, found = [], []
+        for s, members in groups[p]:
+            g = rows[members[rows]]
+            if not g.size:
+                continue
+            x, ox = free(mover, g, s), free(other, g, s)
+            ways = np.stack([normals[p, :, it // 2, : x.shape[1]].take(g, axis=0), ox - x, x - ox], axis=1)
+            props = geometry.tangent_step(x[:, None], ways, steps[g][:, None])
+            kept = keep.take(g, axis=0).ravel().nonzero()[0]  # as flat indices into the (row, proposal) grid
+            batch, owner = corr.variants_many(s, props.reshape(-1, x.shape[1]).take(kept, axis=0))
+            owners.append(g[kept[owner] // 3])
+            found.append(batch)
+        owner, found = np.concatenate(owners), ElementBatch.concat(found)
+        moved = (found.a, found.b, found.strata)
+        moved = moved + (None,) * 3 if p == 0 else (None,) * 3 + moved
+        return owner, _objectives(corr, found, other.take(owner)), moved
 
-    state = first.columns + second.columns
+    state = (first.a, first.b, first.strata, second.a, second.b, second.strata)
     return geometry.hill_climb(state, values, iters, REFINE_STEP, np.pi / 4, REFINE_DECAY, propose)
 
 

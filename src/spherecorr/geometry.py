@@ -135,13 +135,15 @@ def geodesic_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     come from :func:`row_dot`, so a row's value never depends on its batch.
     Rows are the last axis; leading axes broadcast.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     dot = row_dot(a, b)
     out = np.asarray(np.arccos(clip_cosine(dot)))
     near = np.abs(dot) > HALF_CHORD_COS
     if near.any():
+        flat = near.ravel()  # the near rows, gathered in the row-major order of a mask
+        a, b = (v.reshape(flat.size, -1).compress(flat, axis=0) for v in np.broadcast_arrays(a, b))
         far_side = (dot[near] < 0.0)[:, None]
-        chord = np.where(far_side, a[near] + b[near], a[near] - b[near])
+        chord = np.where(far_side, a + b, a - b)
         angle = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * np.sqrt(row_dot(chord, chord))))
         out[near] = np.where(far_side[:, 0], np.pi - angle, angle)
     return out
@@ -237,16 +239,16 @@ def hill_climb(state, values, iters: int, step: float, cap: float, decay: float,
     otherwise, frozen once below 1e-14.  ``propose(it, rows, steps)`` gets
     the live ``rows`` and every row's step and returns ``(owner, scores,
     moved)``: proposal i moves row ``owner[i]`` to row i of the arrays in
-    ``moved`` (parallel to ``state``) and scores ``scores[i]``, -inf if
-    infeasible; a row lists its proposals in order of preference.  A row
-    takes its best proposal, the earliest among equals, if it strictly beats
-    its value.  Returns the final values.
+    ``moved`` (parallel to ``state``, None for a column it leaves) and scores
+    ``scores[i]``, -inf if infeasible; a row lists its proposals in order of
+    preference.  A row takes its best proposal, the earliest among equals, if
+    it strictly beats its value.  Returns the final values.
     """
     values = np.array(values, dtype=float)
     steps = np.full(values.shape, float(step))
     for it in range(iters):
-        rows = np.flatnonzero(steps >= 1e-14)
-        if rows.size == 0:
+        rows = (steps >= 1e-14).nonzero()[0]
+        if not rows.size:
             break
         owner, scores, moved = propose(it, rows, steps)
         order = np.lexsort((-scores, owner))
@@ -255,9 +257,9 @@ def hill_climb(state, values, iters: int, step: float, cap: float, decay: float,
         won = owner[picks]
         values[won] = scores[picks]
         for col, new in zip(state, moved):
-            col[won] = new[picks]
-        accepted = np.zeros(values.shape, dtype=bool)
-        accepted[won] = True
-        grow = accepted[rows]
-        steps[rows] = np.where(grow, np.minimum(steps[rows] * 1.3, cap), steps[rows] * decay)
+            if new is not None:
+                col[won] = new.take(picks, axis=0)
+        grown = np.minimum(steps[won] * 1.3, cap)
+        steps *= decay  # a frozen row only shrinks further
+        steps[won] = grown
     return values

@@ -17,7 +17,6 @@ query, :func:`cell_mask`, over a stack of points.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -96,43 +95,31 @@ def cross_polytope_set(k: int) -> AntipodalSet:
     return AntipodalSet(np.eye(k + 1), label="cross-polytope")
 
 
-def positive_arcs(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Endpoint pairs of the n(n+1) positive geodesic arcs between basis axes.
-
-    For i < j the positive copies are (+e_i, +e_j) and (+e_i, -e_j); their
-    antipodal arcs are the negative copies.  Yielded lazily, in that order.
-    """
-    eye = np.eye(n + 1)
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            yield eye[i], eye[j]
-            yield eye[i], -eye[j]
-
-
 def arc_rows(n: int, count: int) -> np.ndarray:
     """The first ``count`` rows of the arc construction in R^{n+1}.
 
-    Basis vectors come first; the remaining rows sit in the interiors of the
-    positive arcs at even arc-length fractions, filling arcs in the fixed
-    order of :func:`positive_arcs` with at most ceil(extra / n(n+1)) each.
-    Only the arcs that are filled are built.
+    Basis vectors come first; the rest sit in the interiors of the n(n+1)
+    positive arcs between basis axes at even arc-length fractions, at most
+    ceil(extra / n(n+1)) per arc, filling for i < j the arc from e_i to e_j,
+    then the one from e_i to -e_j.  The point at angle t is cos(t) e_i +-
+    sin(t) e_j, which is cos(t) a + sin(t) b rounded for the arc's ends a, b.
     Rows are unit vectors up to roundoff and are not renormalized.
     """
     base = np.eye(n + 1)
     if count <= n + 1:
         return base[:count]
-    rows = [base]
     budget = count - (n + 1)
     per_arc = -(-budget // (n * (n + 1)))  # ceil
-    for a, b in positive_arcs(n):
-        if budget == 0:
-            break
-        take = min(per_arc, budget)
-        budget -= take
-        fracs = np.arange(1, take + 1) / (take + 1)
-        t = fracs * (np.pi / 2)  # arcs between non-antipodal axes have length pi/2
-        rows.append(np.outer(np.cos(t), a) + np.outer(np.sin(t), b))
-    return np.vstack(rows)
+    takes = np.minimum(per_arc, budget - per_arc * np.arange(-(-budget // per_arc)))
+    arc = np.repeat(np.arange(len(takes)), takes)
+    # point j = 1..take of an arc sits at the fraction j / (take + 1) of its length
+    j = np.arange(1, budget + 1) - np.repeat(np.cumsum(takes) - takes, takes)
+    t = (j / np.repeat(takes + 1, takes)) * (np.pi / 2)  # arcs between non-antipodal axes have length pi/2
+    axes = np.array(list(itertools.islice(itertools.combinations(range(n + 1), 2), (len(takes) + 1) // 2)))[arc // 2]
+    rows = np.vstack([base, np.zeros((budget, n + 1))])
+    rows[np.arange(n + 1, count), axes[:, 0]] = np.cos(t)
+    rows[np.arange(n + 1, count), axes[:, 1]] = np.where(arc % 2, -1.0, 1.0) * np.sin(t)
+    return rows
 
 
 def arc_augmented_set(n: int, k: int) -> AntipodalSet:
@@ -223,45 +210,48 @@ def hausdorff_to_sphere_estimate(aset: AntipodalSet) -> float:
 
 
 def cell_mask(aset: AntipodalSet, xs: np.ndarray) -> np.ndarray:
-    """(rows, 2m) mask of the cells whose site distance is within ``CELL_TOL`` of each row's minimum."""
+    """(..., 2m) mask of the cells whose site distance is within ``CELL_TOL`` of each row's minimum."""
     dists = aset.site_distances(xs)
-    return dists <= geometry.row_min(dists)[:, None] + CELL_TOL
+    return dists <= geometry.row_min(dists)[..., None] + CELL_TOL
 
 
 # ---------------------------------------------------------------------------
 # Sampled Voronoi-diameter estimator
 # ---------------------------------------------------------------------------
 
-def _slide_directions(x, raw, own_sites, sites, activation):
+def _slide_directions(x, raw, own, sites, walls, activation):
     """Tangent ascent directions, row-wise, projected onto each row's active cell walls.
 
-    Row i's cell is cut out by the halfspaces <x, own_sites[i] - s'> >= 0;
-    removing the infeasible components of the step lets the climb slide along
-    cell walls instead of stalling against them.  Each row walks its own
-    active walls (margin within ``activation[i]``) in index order, twice,
-    pushing the step back onto each wall it crosses; a pass recomputes only
-    the products of active (row, wall) pairs, and ends once no row crosses
-    another wall.
+    Row i's cell ``own[i]`` is cut out by the halfspaces <x, sites[own[i]] - s'> >= 0,
+    whose normals ``walls[0][own[i], j]`` and their squared norms ``walls[1]``
+    the caller tabulates once; removing the infeasible components of the step
+    lets the climb slide along cell walls instead of stalling against them.
+    Each row walks its own active walls (margin within ``activation[i]``) in
+    index order, twice, pushing the step back onto each wall it crosses; a pass
+    recomputes only the products of active (row, wall) pairs, and ends once no
+    row crosses another wall.
     """
+    normals, sq = walls
     g = raw - geometry.row_dot(raw, x)[:, None] * x
-    normals = own_sites[:, None, :] - sites
-    sq = geometry.row_dot(normals, normals)
-    margins = geometry.row_dot(own_sites, x)[:, None] - geometry.row_dot(x[:, None, :], sites)
+    dots = geometry.row_dot(x[:, None, :], sites)
+    margins = dots[np.arange(len(x)), own][:, None] - dots
     # row-major: each row's active walls are contiguous and in index order
-    rows, cols = np.nonzero((margins <= activation[:, None]) & (sq >= 1e-300))
-    normals, sq = normals[rows, cols], sq[rows, cols]
+    rows, cols = ((margins <= activation[:, None]) & (sq.take(own, axis=0) >= 1e-300)).nonzero()
+    wall = own[rows] * len(sites) + cols  # (row, wall) pairs as flat indices into the tables
+    normals, sq = normals.reshape(-1, x.shape[1]).take(wall, axis=0), sq.take(wall)
     pair = np.arange(len(rows))
+    viol = geometry.row_dot(g.take(rows, axis=0), normals)
     for _ in range(2):
         done = np.full(len(x), -1)  # each row's last pushed-back pair
         while True:
-            viol = geometry.row_dot(g[rows], normals)
-            hit = np.flatnonzero((viol < 0) & (pair > done[rows]))
+            hit = ((viol < 0) & (pair > done[rows])).nonzero()[0]
             if not hit.size:
-                break
+                break  # g is unchanged, so the next walk starts from these products
             hit = hit[geometry.run_heads(rows[hit])]  # each row's first crossing
             on = rows[hit]
-            g[on] -= (viol[hit] / sq[hit])[:, None] * normals[hit]
+            g[on] = g.take(on, axis=0) - (viol[hit] / sq[hit])[:, None] * normals.take(hit, axis=0)
             done[on] = hit
+            viol = geometry.row_dot(g.take(rows, axis=0), normals)
     return g - geometry.row_dot(g, x)[:, None] * x
 
 
@@ -275,22 +265,25 @@ def _climb_pairs_in_cells(aset, cells, pts, iters, rngs):
     realized by a feasible pair.  Updates ``pts`` in place; returns the values.
     """
     sites = aset.points()
+    wall_normals = sites[:, None, :] - sites
+    walls = wall_normals, geometry.row_dot(wall_normals, wall_normals)
     normals = np.array([r.generator().standard_normal((iters, aset.dim + 1)) for r in rngs])
 
     def propose(it, rows, steps):
-        p, step = it % 2, steps[rows]
-        cur, other = pts[rows, p], pts[rows, 1 - p]
-        slide = _slide_directions(cur, -other, sites[cells[rows]], sites, step)
-        moved = np.repeat(pts[rows], 3, axis=0)
-        ways = np.stack([slide, -other, normals[rows, it]], axis=1).reshape(-1, cur.shape[1])
-        moved[:, p] = geometry.tangent_step(moved[:, p], ways, np.repeat(step, 3))
-        owner = np.repeat(rows, 3)
-        inside = cell_mask(aset, moved[:, p])[np.arange(len(owner)), cells[owner]]
-        scores = geometry.geodesic_many(moved[:, 0], moved[:, 1])
-        return owner, np.where(inside, scores, -np.inf), (moved,)
+        p, step, own = it % 2, steps[rows], cells[rows]
+        here = pts.take(rows, axis=0)
+        cur, other = here[:, p], here[:, 1 - p]
+        slide = _slide_directions(cur, -other, own, sites, walls, step)
+        ways = np.stack([slide, -other, normals[:, it].take(rows, axis=0)], axis=1)
+        moved = geometry.tangent_step(cur[:, None], ways, step[:, None])
+        # the kernel is symmetric bitwise, so the mover may stand first on either side
+        scores = geometry.geodesic_many(moved, other[:, None])
+        inside = cell_mask(aset, moved)[np.arange(len(rows)), :, own]
+        new = moved.reshape(-1, cur.shape[1])
+        return np.repeat(rows, 3), np.where(inside, scores, -np.inf).ravel(), (new, None) if p == 0 else (None, new)
 
     start = geometry.geodesic_many(pts[:, 0], pts[:, 1])
-    return geometry.hill_climb((pts,), start, iters, np.pi / 16, 0.5, 0.8, propose)
+    return geometry.hill_climb((pts[:, 0], pts[:, 1]), start, iters, np.pi / 16, 0.5, 0.8, propose)
 
 
 def _far_pair(points: np.ndarray) -> tuple[float, int, int]:

@@ -644,6 +644,8 @@ def run_verify(
     """Run one verification scope (or all) and return its invariant records."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if k_values is not None and scope not in ("rpq", "odd", "all"):
+        raise ValueError(f"scope {scope} reads no k values; only rpq, odd and all take --k")
     rng = RngStream(seed)
     scopes = SCOPES if scope == "all" else (scope,)
     out: list[InvariantResult] = []

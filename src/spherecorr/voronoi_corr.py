@@ -83,7 +83,7 @@ class VoronoiCorrespondence(Correspondence):
             raise ValueError(f"side must be 0 (the low sphere) or 1 (the high sphere); got {side}")
         frees = np.asarray(frees, dtype=float)
         owner, cells = np.nonzero(pointsets.cell_mask(self.P if side == 0 else self.Q, frees))
-        return ElementBatch(*self._elements(side, frees[owner], cells)), owner
+        return ElementBatch(*self._elements(side, frees.take(owner, axis=0), cells)), owner
 
     variants_of_free = Correspondence.variants_of_free  # per-class name, wrapped by perfbench/layers.py
 

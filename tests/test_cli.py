@@ -270,6 +270,32 @@ def test_verify_bytes_across_blocks_are_pinned(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv, digest", [
+    (("distortion", "--corr", "rpq-even-cross", "--k", "4", "--samples", "262144", "--seed", "0"),
+     "489e8c0a5e59184befd4f7d7f071276f6377ee1aac3f4c70f649ec7d7a26496c"),
+    (("verify", "--scope", "rpq", "--k", "2..6", "--seed", "0"),
+     "f477a9feb7e30edd10e89119f31a62faa822ee62753720029401594804bac090"),
+    (("verify", "--scope", "pointsets", "--seed", "23"),
+     "7ad5a97aee0caeb152f37b3a78b2bd7d8bceb908616324a5937863c9f123f534"),
+], ids=["rpq4", "verify-rpq", "verify-pointsets"])
+def test_phase_b_bytes_are_pinned(capsys, argv, threads, digest):
+    # outputs whose values come out of the phase B climbs (the collapse pairs and the
+    # in-cell vdiam pairs): a climb step that moves one bit fails here, at any worker count
+    code, out = run_cli(capsys, *argv, "--threads", threads)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("scope", ["geometry", "pointsets", "packing"])
+def test_verify_rejects_k_for_a_scope_that_reads_none(capsys, scope):
+    code = main(["verify", "--scope", scope, "--k", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "reads no k values" in captured.err
+
+
 def test_verify_samples_default_is_the_library_default():
     args = build_parser().parse_args(["verify"])
     assert args.samples == inspect.signature(run_verify).parameters["samples"].default

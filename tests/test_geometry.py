@@ -11,6 +11,7 @@ from spherecorr.geometry import (
     circle_distance_many,
     clip_cosine,
     geodesic_many,
+    hill_climb,
     normalize_rows,
     projective_many,
     row_dot,
@@ -273,3 +274,44 @@ def test_rng_stream_reproducibility():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert RngStream(5).child(2) == RngStream(5, (2,))
+
+
+def test_hill_climb_takes_each_rows_best_proposal_only_if_strictly_better():
+    tag = np.zeros(3)
+    kept = np.array([7.0, 8.0, 9.0])
+
+    def propose(it, rows, steps):
+        # row 2 lists first; row 0 ties at 3.0; row 1 only matches its value;
+        # row 2's preferred proposal is infeasible
+        owner = np.array([2, 2, 0, 0, 0, 1])
+        scores = np.array([-np.inf, 2.0, 1.0, 3.0, 3.0, 0.5])
+        return owner, scores, (np.arange(6.0), None)
+
+    values = hill_climb((tag, kept), [0.0, 0.5, 1.0], 1, 0.1, 1.0, 0.5, propose)
+    assert values.tolist() == [3.0, 0.5, 2.0]
+    assert tag.tolist() == [3.0, 0.0, 1.0]  # the earliest of row 0's tie; row 1 did not move
+    assert kept.tolist() == [7.0, 8.0, 9.0]  # a None column is left as it is
+
+
+def test_hill_climb_step_grows_to_the_cap_shrinks_and_freezes():
+    accept = [True, True, False, True, False, False]
+    seen = []
+
+    def propose(it, rows, steps):
+        seen.append((rows.tolist(), steps[rows].tolist()))
+        # row 0 improves on the schedule; row 1 never does and freezes first
+        score = float(it + 1) if it < len(accept) and accept[it] else -np.inf
+        return rows, np.array([score, -np.inf])[rows], (rows.astype(float),)
+
+    step, cap, decay = 0.4, 0.6, 0.5
+    hill_climb((np.zeros(2),), [0.0, 0.0], 60, step, cap, decay, propose)
+    want = step
+    for it, ok in enumerate(accept):
+        assert seen[it][1][0] == want
+        want = min(want * 1.3, cap) if ok else want * decay
+    # row 1 shrinks by decay each step and leaves once below 1e-14; row 0 follows later
+    frozen = next(it for it, (rows, _) in enumerate(seen) if rows == [0])
+    assert step * decay ** (frozen - 1) >= 1e-14 > step * decay ** frozen
+    assert all(rows == [0] for rows, _ in seen[frozen:])
+    assert min(steps[0] for _, steps in seen) >= 1e-14
+    assert len(seen) < 60  # the climb stops once every row is frozen

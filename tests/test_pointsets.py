@@ -17,7 +17,7 @@ from spherecorr import (
     voronoi_diameter_estimate,
 )
 from spherecorr import geometry
-from spherecorr.pointsets import _slide_directions, arc_rows, cell_mask, covering_radius
+from spherecorr.pointsets import _climb_pairs_in_cells, _slide_directions, arc_rows, cell_mask, covering_radius
 from spherecorr.serialize import dumps
 
 
@@ -279,19 +279,40 @@ def batch_wide_slide(x, raw, own_sites, sites, activation):
 def test_slide_directions_match_the_batch_wide_walk(aset, seed):
     rng = np.random.default_rng(seed)
     sites = aset.points()
+    normals = sites[:, None, :] - sites
+    walls = normals, geometry.row_dot(normals, normals)
     rows = int(rng.integers(1, 61))
     x = geometry.sample_uniform_many(aset.dim, rows, RngStream(seed))
-    own = sites[aset.nearest_site_many(x)]
+    own = aset.nearest_site_many(x)
     raw = rng.standard_normal(x.shape)
     # some rows get no active wall; the own site's wall (sq = 0) is never active
     activation = np.where(rng.random(rows) < 0.25, 0.0, rng.uniform(1e-3, 0.8, rows))
     for act in (activation, np.zeros(rows)):  # the second batch has no active wall at all
-        got = _slide_directions(x, raw, own, sites, act)
-        assert got.tobytes() == batch_wide_slide(x, raw, own, sites, act).tobytes()
+        got = _slide_directions(x, raw, own, sites, walls, act)
+        assert got.tobytes() == batch_wide_slide(x, raw, sites[own], sites, act).tobytes()
     # with no active wall the step is only projected onto the tangent space, twice
     g = raw - geometry.row_dot(raw, x)[:, None] * x
-    idle = _slide_directions(x, raw, own, sites, np.zeros(rows))
+    idle = _slide_directions(x, raw, own, sites, walls, np.zeros(rows))
     assert idle.tobytes() == (g - geometry.row_dot(g, x)[:, None] * x).tobytes()
+
+
+@pytest.mark.parametrize("aset", [cross_polytope_set(4), arc_augmented_set(3, 7)], ids=["cp4", "arc3-7"])
+def test_in_cell_climb_rows_are_batch_independent(aset):
+    xs = geometry.sample_uniform_many(aset.dim, 400, RngStream(31))
+    nearest = aset.nearest_site_many(xs)
+    pairs = [np.flatnonzero(nearest == c)[:2] for c in range(2 * aset.m)]
+    pairs = np.array([p for p in pairs if len(p) == 2])
+    cells, pts = nearest[pairs[:, 0]], xs[pairs]
+    rngs = [RngStream(32).child(i) for i in range(len(pairs))]
+    together = pts.copy()
+    values = _climb_pairs_in_cells(aset, cells, together, 40, rngs)
+    for i in (0, len(pairs) // 2, len(pairs) - 1):
+        alone = pts[[i]].copy()
+        value = _climb_pairs_in_cells(aset, cells[[i]], alone, 40, [rngs[i]])
+        assert value[0] == values[i]
+        assert alone[0].tobytes() == together[i].tobytes()
+    assert np.all(values > geometry.geodesic_many(pts[:, 0], pts[:, 1]))
+
 
 def test_arc_augmented_vdiam_below_cross_bound():
     aset = arc_augmented_set(2, 5)
