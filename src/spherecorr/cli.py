@@ -101,10 +101,8 @@ def cmd_distortion(args) -> int:
         corr, bound = OddCircleCorrespondence(k), packing.circle_to_sphere_exact(k)
     else:
         corr, bound = even_cross(k)
-    report = estimate_distortion(
-        corr, _budget(args, SearchBudget), RngStream(args.seed), bound=bound, threads=args.threads
-    )
-    _emit([report.to_json_dict()], "json", args.out)
+    report = estimate_distortion(corr, _budget(args, SearchBudget), RngStream(args.seed), threads=args.threads)
+    _emit([{**report.to_json_dict(), "bound": bound}], "json", args.out)
     return 0
 
 

@@ -184,11 +184,9 @@ class DistortionReport:
     samples_used: int
     per_stratum: dict
     seed: int
-    bound: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
-            "bound": self.bound,
             "estimate": self.estimate,
             "estimate_over_pi": self.estimate / np.pi,
             "witness": self.witness,
@@ -334,7 +332,6 @@ def estimate_distortion(
     corr: Correspondence,
     budget: SearchBudget,
     rng: RngStream,
-    bound: float | None = None,
     threads: int | None = None,
 ) -> DistortionReport:
     """Lower-estimate the distortion of ``corr`` by stratified search.
@@ -401,7 +398,6 @@ def estimate_distortion(
         samples_used=samples_used,
         per_stratum=per_stratum,
         seed=rng.seed,
-        bound=bound,
     )
 
 

@@ -83,13 +83,16 @@ def _cell_mask(k: int, coords: np.ndarray, tol: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CircleInterval:
-    """Circle interval paired with ordered cell m; width exactly pi/(k+1)."""
+    """Circle interval paired with ordered cell m; width exactly pi/(k+1).
+
+    ``of_cell`` takes one cell or an array of cells, one interval per entry.
+    """
 
     lo: float
     hi: float
 
     @classmethod
-    def of_cell(cls, k: int, m: int) -> "CircleInterval":
+    def of_cell(cls, k: int, m: int | np.ndarray) -> "CircleInterval":
         _check_k(k)
         lo = (2 * m - 3) * np.pi / (2 * k + 2)
         hi = (2 * m - 1) * np.pi / (2 * k + 2)
@@ -207,10 +210,10 @@ def sample_in_ordered_cell_blocks(k: int, m, count: int, rng: RngStream, block: 
         raise ValueError(f"ordered cell index out of range 1..{2 * k + 2}")
     blocks = geometry.sample_uniform_blocks(k, count, rng, block)
     starts = range(0, max(count, 1), block)  # the first row of each block
-    return (_into_cells(k, xs, ms[s : s + block]) for s, xs in zip(starts, blocks))
+    return (into_cells(k, xs, ms[s : s + block]) for s, xs in zip(starts, blocks))
 
 
-def _into_cells(k: int, xs: np.ndarray, ms: np.ndarray) -> np.ndarray:
+def into_cells(k: int, xs: np.ndarray, ms: np.ndarray) -> np.ndarray:
     """``xs`` with row i moved from its own ordered cell onto cell ms[i], in place."""
     axes, signs, _ = _cell_tables(k)
     axis, sign = axes[ms - 1], signs[ms - 1]

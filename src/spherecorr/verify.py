@@ -205,13 +205,14 @@ def check_pointsets(samples: int, rng: RngStream, threads=None) -> list[Invarian
         )
     )
 
-    worst = 0.0
-    for k in (2, 3):
-        est, _ = pointsets.voronoi_diameter_estimate(
+    vdiam = {
+        k: pointsets.voronoi_diameter_estimate(
             pointsets.cross_polytope_set(k), max(20000, samples), 200,
             rng.child(10 + k), threads=threads,
-        )
-        worst = max(worst, cross_vdiam_error(k, est))
+        )[0]
+        for k in (2, 3)
+    }
+    worst = max(cross_vdiam_error(k, est) for k, est in vdiam.items())
     out.append(
         _result(
             "cross-vdiam-estimate", "pointsets", worst, 0.01,
@@ -219,13 +220,10 @@ def check_pointsets(samples: int, rng: RngStream, threads=None) -> list[Invarian
         )
     )
 
-    vd, _ = pointsets.voronoi_diameter_estimate(
-        cp, max(20000, samples), 100, rng.child(20), threads=threads
-    )
     dh = pointsets.hausdorff_to_sphere_estimate(cp)
     out.append(
         _result(
-            "vdiam-vs-hausdorff", "pointsets", max(vd / 2 - dh - 0.01, 0.0), 0.0,
+            "vdiam-vs-hausdorff", "pointsets", max(vdiam[3] / 2 - dh - 0.01, 0.0), 0.0,
             "covering radius >= vdiam estimate / 2 - 0.01",
         )
     )
@@ -302,7 +300,6 @@ def check_rpq(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
             corr,
             SearchBudget(samples=max(20000, samples), refine_iters=60),
             rng.child(100 + k),
-            bound=bound,
             threads=threads,
         )
         v = rep.estimate - bound
@@ -367,15 +364,10 @@ def interval_confinement_violation(k: int, count: int, rng: RngStream) -> float:
     worst = 0.0
     for xs in geometry.sample_uniform_blocks(k, count, rng, BLOCK_ROWS):
         ms = odd_corr.principal_cells_many(k, xs)
-        angles = cell_angles_many(k, xs, ms)
-        for m in range(1, 2 * k + 3):
-            rows = np.flatnonzero(ms == m)
-            if rows.size == 0:
-                continue
-            iv = odd_corr.CircleInterval.of_cell(k, m)
-            delta = np.mod(angles[rows] - iv.lo, 2 * np.pi)
-            off = np.minimum(np.abs(delta - np.clip(delta, 0, iv.width)), np.abs(delta - 2 * np.pi))
-            worst = max(worst, float(np.max(off)))
+        iv = odd_corr.CircleInterval.of_cell(k, ms)
+        delta = np.mod(cell_angles_many(k, xs, ms) - iv.lo, 2 * np.pi)
+        off = np.minimum(np.abs(delta - np.clip(delta, 0, iv.width)), np.abs(delta - 2 * np.pi))
+        worst = max(worst, float(np.max(off, initial=0.0)))
     return worst
 
 
@@ -403,32 +395,21 @@ def coordinate_gaps(k: int, count: int, rng: RngStream) -> tuple[float, float]:
     return float(np.max(sq_gaps)), float(np.max(linear_gaps))
 
 
-def sample_same_cell_pairs(k: int, count: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(X, Y, m): uniform pairs lying in a common ordered cell."""
-    xs = geometry.sample_uniform_many(k, count, rng.child(0))
-    ms = odd_corr.principal_cells_many(k, xs)
-    return xs, odd_corr.sample_in_ordered_cell_many(k, ms, count, rng.child(1)), ms
-
-
 def distance_decrease_violations(k: int, count: int, rng: RngStream) -> tuple[int, float]:
-    """Strict contraction failures of the cell maps on same-cell pairs."""
-    chunk = 250_000
-    bad = 0
-    closest = np.inf
-    done = 0
-    part = 0
-    while done < count:
-        take = min(chunk, count - done)
-        xs, ys, ms = sample_same_cell_pairs(k, take, rng.child(part))
+    """(failures, closest margin) of strict contraction of the cell maps on
+    same-cell pairs: x uniform, y uniform on x's ordered cell."""
+    bad, closest = 0, np.inf
+    draws = [geometry.sample_uniform_blocks(k, count, rng.child(0, c), BLOCK_ROWS) for c in (0, 1)]
+    for xs, ys in zip(*draws):
+        ms = odd_corr.principal_cells_many(k, xs)
+        ys = odd_corr.into_cells(k, ys, ms)
         d_sphere = geometry.geodesic_many(xs, ys)
         d_circle = geometry.circle_distance_many(
             cell_angles_many(k, xs, ms), cell_angles_many(k, ys, ms)
         )
         strict = (d_circle < d_sphere) | (d_sphere <= 1e-12)
-        bad += int(np.sum(~strict))
-        closest = min(closest, float(np.min(d_sphere - d_circle)))
-        done += take
-        part += 1
+        bad += int(np.count_nonzero(~strict))
+        closest = min(closest, float(np.min(d_sphere - d_circle, initial=np.inf)))
     return bad, closest
 
 
@@ -571,7 +552,6 @@ def check_odd(k_values, samples: int, rng: RngStream, threads=None) -> list[Inva
             OddCircleCorrespondence(k),
             SearchBudget(samples=max(30000, samples), refine_iters=80),
             rng.child(250 + k),
-            bound=packing.circle_to_sphere_exact(k),
             threads=threads,
         )
         worst = max(worst, odd_window_violation(k, rep.estimate))

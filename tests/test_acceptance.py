@@ -88,7 +88,6 @@ def odd_distortion_runs():
                 OddCircleCorrespondence(k),
                 budget,
                 RngStream(SEED, (5, k)),
-                bound=(k - 1) * np.pi / k,
                 threads=workers,
             )
             per_k[k] = (dumps(rep.to_json_dict()), rep.estimate, time.perf_counter() - t0)
@@ -227,7 +226,6 @@ def test_criterion_08_collapse_soundness():
             corr,
             SearchBudget(samples=32768, refine_iters=60),
             RngStream(SEED, (8, 12, idx)),
-            bound=bound,
         )
         worst = max(worst, rep.estimate - bound)
     case_worst = 0.0

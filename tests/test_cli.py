@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,6 +332,21 @@ def test_commands_reject_flags_they_do_not_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
+
+
+def readme_command_lines() -> list[str]:
+    """The ``spherecorr ...`` lines of the README's "Command line" code block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("spherecorr ")]
+
+
+def test_readme_command_lines_parse():
+    # a renamed or removed flag makes its README example exit 2
+    lines = readme_command_lines()
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 @pytest.mark.parametrize("argv, budget", [

@@ -59,19 +59,15 @@ def test_identity_correspondence_has_zero_distortion():
 
 def test_odd_estimate_reaches_bound():
     corr = OddCircleCorrespondence(3)
-    report = estimate_distortion(
-        corr, SearchBudget(samples=65536, refine_iters=60), RngStream(7), bound=2 * np.pi / 3
-    )
+    report = estimate_distortion(corr, SearchBudget(samples=65536, refine_iters=60), RngStream(7))
     assert report.estimate == pytest.approx(2 * np.pi / 3, abs=0.01)
-    assert report.estimate <= report.bound + 1e-6
+    assert report.estimate <= 2 * np.pi / 3 + 1e-6
 
 
 def test_rpq_estimate_reaches_bound():
     corr = VoronoiCorrespondence(evenly_spaced_circle_set(3), cross_polytope_set(2))
     bound = rpq_bound(corr, np.pi / 3, cross_polytope_vdiam_exact(2))
-    report = estimate_distortion(
-        corr, SearchBudget(samples=65536, refine_iters=60), RngStream(7), bound=bound
-    )
+    report = estimate_distortion(corr, SearchBudget(samples=65536, refine_iters=60), RngStream(7))
     assert report.estimate == pytest.approx(2 * np.pi / 3, abs=0.01)
     assert report.estimate <= bound + 1e-6
 
@@ -189,12 +185,10 @@ def test_refined_elements_remain_members():
 
 def test_report_serialization_fields():
     corr = IdentityCorrespondence(2)
-    report = estimate_distortion(
-        corr, SearchBudget(samples=4096, refine_iters=5), RngStream(1), bound=0.5
-    )
+    report = estimate_distortion(corr, SearchBudget(samples=4096, refine_iters=5), RngStream(1))
     data = report.to_json_dict()
     assert set(data) == {
-        "bound", "estimate", "estimate_over_pi", "witness",
+        "estimate", "estimate_over_pi", "witness",
         "samples_used", "seed", "per_stratum",
     }
     assert set(data["witness"]) == {"x", "y", "x2", "y2"}

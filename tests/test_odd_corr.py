@@ -228,10 +228,11 @@ def test_antipodal_angle_relation():
 
 
 def test_cell_maps_strictly_contract():
-    from spherecorr.verify import sample_same_cell_pairs
-
     for k in (3, 5):
-        xs2, ys2, ms2 = sample_same_cell_pairs(k, 2000, RngStream(11).child(k, 1))
+        rng = RngStream(11).child(k, 1)
+        xs2 = sample_uniform_many(k, 2000, rng.child(0))
+        ms2 = odd_corr.principal_cells_many(k, xs2)
+        ys2 = odd_corr.sample_in_ordered_cell_many(k, ms2, 2000, rng.child(1))
         d_sphere = np.arccos(np.clip(np.einsum("ij,ij->i", xs2, ys2), -1, 1))
         d_circle = np.abs(
             odd_corr.cell_angles_many(k, xs2, ms2) - odd_corr.cell_angles_many(k, ys2, ms2)

@@ -63,6 +63,16 @@ def whole_coordinate_gaps(k, count, rng):
     return sq_gap, linear_gap
 
 
+def whole_distance_decrease(k, count, rng):
+    xs = geometry.sample_uniform_many(k, count, rng.child(0, 0))
+    ms = odd_corr.principal_cells_many(k, xs)
+    ys = odd_corr.sample_in_ordered_cell_many(k, ms, count, rng.child(0, 1))
+    d_sphere = geometry.geodesic_many(xs, ys)
+    d_circle = geometry.circle_distance_many(cell_angles_many(k, xs, ms), cell_angles_many(k, ys, ms))
+    strict = (d_circle < d_sphere) | (d_sphere <= 1e-12)
+    return int(np.sum(~strict)), float(np.min(d_sphere - d_circle))
+
+
 @pytest.mark.parametrize("k", [3, 5, 7])
 @pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize("streamed, whole", [
@@ -70,10 +80,26 @@ def whole_coordinate_gaps(k, count, rng):
     (verify.z2_violation, whole_z2),
     (verify.interval_confinement_violation, whole_confinement),
     (verify.coordinate_gaps, whole_coordinate_gaps),
+    (verify.distance_decrease_violations, whole_distance_decrease),
 ])
 def test_streamed_odd_checks_match_the_whole_draw(streamed, whole, k, count):
     rng = RngStream(3, (k, count))
     assert streamed(k, count, rng) == whole(k, count, rng)
+
+
+# (bad, closest margin) of the contraction check at RngStream(9, (k,)).  Up to
+# 250,000 pairs it reads the streams of the first 250,000-row chunk it once drew.
+CONTRACTION_PINS = {
+    (3, 20_000): (0, 0.03321503255012739),
+    (3, 250_000): (0, 0.015325917415832217),
+    (9, 20_000): (0, 0.2753014006490361),
+    (9, 250_000): (0, 0.19608458827761496),
+}
+
+
+@pytest.mark.parametrize("k, count", sorted(CONTRACTION_PINS))
+def test_contraction_check_values_are_pinned(k, count):
+    assert verify.distance_decrease_violations(k, count, RngStream(9, (k,))) == CONTRACTION_PINS[k, count]
 
 
 @pytest.mark.parametrize("count", [1, 10000, 2 * SHARD_SIZE + 7, 400000])
@@ -117,6 +143,7 @@ def test_check_geometry_memory_does_not_grow_with_samples():
     verify.z2_violation,
     verify.interval_confinement_violation,
     verify.coordinate_gaps,
+    verify.distance_decrease_violations,
 ])
 def test_streamed_odd_check_memory_does_not_grow_with_count(check):
     check(3, 1000, RngStream(0))

@@ -240,8 +240,7 @@ def test_even_cross_estimates_reach_collapse_bound():
         corr = even_cross(k)
         target = k * np.pi / (k + 1)
         rep = estimate_distortion(
-            corr, SearchBudget(samples=65536, refine_iters=60), RngStream(30).child(k),
-            bound=target,
+            corr, SearchBudget(samples=65536, refine_iters=60), RngStream(30).child(k)
         )
         assert target - 0.02 <= rep.estimate <= target + 1e-6
 
