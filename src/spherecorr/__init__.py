@@ -11,7 +11,6 @@ from .distortion import (
     Correspondence,
     DistortionReport,
     IdentityCorrespondence,
-    RelationElement,
     SearchBudget,
     estimate_distortion,
     refine_pair,

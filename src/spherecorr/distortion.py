@@ -46,37 +46,20 @@ class SearchBudget:
 
 
 @dataclass
-class RelationElement:
-    """One element (a, b) of a correspondence, tracked through its free point.
-
-    ``side`` names the factor that carries the free (continuum) coordinate,
-    ``a`` for side 0 and ``b`` for side 1; the other coordinate is derived
-    from it by the correspondence.
-    """
-
-    side: int
-    free: np.ndarray
-    a: np.ndarray
-    b: object
-    stratum: int
-
-
-@dataclass
 class ElementBatch:
-    """Vectorized relation elements: row i is the element (a[i], b[i]).
+    """Relation elements as rows: row i is the element (a[i], b[i]).
 
-    As a batch of pairs, row i is paired with row half+i, half = len // 2.
+    ``side[i]`` names the factor that carries row i's free (continuum)
+    coordinate, ``a`` for side 0 and ``b`` for side 1; the other coordinate
+    is derived from it by the correspondence.  As a batch of pairs, row i is
+    paired with row half+i, half = len // 2; a single pair of elements is
+    two one-row batches.
     """
 
     a: np.ndarray
     b: np.ndarray
     side: np.ndarray
     strata: np.ndarray
-
-    def element(self, i: int) -> RelationElement:
-        side = int(self.side[i])
-        free = self.a[i] if side == 0 else self.b[i]
-        return RelationElement(side, np.asarray(free, dtype=float), self.a[i], self.b[i], int(self.strata[i]))
 
     @property
     def columns(self) -> tuple:
@@ -88,10 +71,6 @@ class ElementBatch:
     @classmethod
     def concat(cls, batches) -> "ElementBatch":
         return cls(*(np.concatenate(col) for col in zip(*(b.columns for b in batches))))
-
-    @classmethod
-    def of(cls, elems) -> "ElementBatch":
-        return cls(*(np.array(col) for col in zip(*((e.a, e.b, e.side, e.stratum) for e in elems))))
 
 
 class Correspondence(ABC):
@@ -125,10 +104,9 @@ class Correspondence(ABC):
         Elements come in row order, and a row's elements in a fixed order.
         """
 
-    def variants_of_free(self, side: int, free: np.ndarray) -> list[RelationElement]:
+    def variants_of_free(self, side: int, free: np.ndarray) -> ElementBatch:
         """All relation elements over one free point: one row of ``variants_many``."""
-        batch, _ = self.variants_many(side, np.asarray(free, dtype=float)[None, :])
-        return [batch.element(i) for i in range(len(batch.strata))]
+        return self.variants_many(side, np.asarray(free, dtype=float)[None])[0]
 
     @abstractmethod
     def dist_a(self, a1, a2):
@@ -170,9 +148,9 @@ def _close(p: np.ndarray, q: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return geometry.row_max(np.abs(p - q)) <= tol
 
 
-def pair_objective(corr: Correspondence, e1: RelationElement, e2: RelationElement) -> float:
-    """|d_A(a1, a2) - d_B(b1, b2)| of two relation elements: one row of :func:`_objectives`."""
-    return float(_objectives(corr, ElementBatch.of([e1]), ElementBatch.of([e2]))[0])
+def pair_objective(corr: Correspondence, e1: ElementBatch, e2: ElementBatch) -> float:
+    """|d_A(a1, a2) - d_B(b1, b2)| of two one-row batches: one row of :func:`_objectives`."""
+    return float(_objectives(corr, e1, e2)[0])
 
 
 @dataclass
@@ -196,42 +174,28 @@ class DistortionReport:
         }
 
 
-def _as_witness(e1: RelationElement, e2: RelationElement) -> dict:
-    def point(p):
-        return float(p) if np.ndim(p) == 0 else np.asarray(p, dtype=float).tolist()
-
-    return {"x": point(e1.a), "y": point(e1.b), "x2": point(e2.a), "y2": point(e2.b)}
-
-
-def _witness_key(e1: RelationElement, e2: RelationElement) -> tuple:
-    flat = []
-    for p in (e1.a, e1.b, e2.a, e2.b):
-        flat.extend(np.atleast_1d(np.asarray(p, dtype=float)).tolist())
-    return tuple(flat)
+def _witness_points(first: ElementBatch, second: ElementBatch, i) -> tuple:
+    """The points (x, y, x2, y2) of the pair (first[i], second[i])."""
+    return first.a[i], first.b[i], second.a[i], second.b[i]
 
 
 def refine_pair(
     corr: Correspondence,
-    pair: tuple[RelationElement, RelationElement],
+    pair: tuple[ElementBatch, ElementBatch],
     iters: int,
     rng: RngStream = RngStream(0),
-) -> tuple[tuple[RelationElement, RelationElement], float]:
-    """Hill-climb a pair of relation elements to larger objective value.
+) -> tuple[tuple[ElementBatch, ElementBatch], float]:
+    """Hill-climb a pair of relation elements, two one-row batches, to larger objective value.
 
-    One pair through :func:`_climb_pairs`: one free point moves per
-    iteration (alternating); each proposal is re-derived through the
-    correspondence, so every accepted state is a valid pair of relation
-    elements and the objective never decreases.
+    One pair through :func:`_climb_pairs`, on copies of the input rows: one
+    free point moves per iteration (alternating); each proposal is
+    re-derived through the correspondence, so every accepted state is a
+    valid pair of relation elements and the objective never decreases.
     """
-    e1, e2 = pair
-    for e, ok in zip(pair, _in_relation(corr, ElementBatch.of(pair))):
-        if not ok:
-            raise ValueError(f"input pair is not in the relation (stratum {e.stratum})")
-    if iters == 0:
-        return (e1, e2), pair_objective(corr, e1, e2)
-    first, second = ElementBatch.of([e1]), ElementBatch.of([e2])
-    value = _climb_pairs(corr, first, second, iters, [rng])[0]
-    return (first.element(0), second.element(0)), float(value)
+    first, second = (e.take([0]) for e in pair)
+    if not _in_relation(corr, ElementBatch.concat([first, second])).all():
+        raise ValueError("input pair is not in the relation")
+    return (first, second), float(_climb_pairs(corr, first, second, iters, [rng])[0])
 
 
 def _climb_pairs(corr, first: ElementBatch, second: ElementBatch, iters, rngs) -> np.ndarray:
@@ -384,7 +348,7 @@ def estimate_distortion(
     # Largest value; ties go to the smallest witness key.
     best = min(
         np.flatnonzero(values == values.max()),
-        key=lambda i: _witness_key(first.element(i), second.element(i)),
+        key=lambda i: np.hstack(_witness_points(first, second, i)).tolist(),
     )
     per_stratum = {}
     for flat_key in np.flatnonzero(merged >= 0.0):
@@ -394,7 +358,7 @@ def estimate_distortion(
 
     return DistortionReport(
         estimate=float(values[best]),
-        witness=_as_witness(first.element(best), second.element(best)),
+        witness=dict(zip(("x", "y", "x2", "y2"), (p.tolist() for p in _witness_points(first, second, best)))),
         samples_used=samples_used,
         per_stratum=per_stratum,
         seed=rng.seed,

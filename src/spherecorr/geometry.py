@@ -59,15 +59,6 @@ class UnitVector:
     def dim(self) -> int:
         return self.coords.size - 1
 
-    def antipode(self) -> "UnitVector":
-        # exact negation: renormalizing could perturb the last ulp
-        other = object.__new__(UnitVector)
-        other.coords = -self.coords
-        return other
-
-    def __eq__(self, other):
-        return isinstance(other, UnitVector) and np.array_equal(self.coords, other.coords)
-
     def __repr__(self):
         return f"UnitVector({self.coords.tolist()!r})"
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import geometry
 from .distortion import Correspondence, ElementBatch
-from .geometry import UnitVector
 from .rng import RngStream
 
 CELL_TOL = 1e-9
@@ -228,21 +227,23 @@ def into_cells(k: int, xs: np.ndarray, ms: np.ndarray) -> np.ndarray:
     return xs
 
 
-def max_distortion_witness(k: int) -> tuple[tuple[tuple[UnitVector, float], tuple[UnitVector, float]], float]:
+def max_distortion_witness(k: int) -> tuple[tuple[ElementBatch, ElementBatch], float]:
     """A pair of relation elements realizing the full distortion (k-1)pi/k.
 
     The base point (1, 0, ..., 0, -1)/sqrt(2) lies on the boundary between
     the first and last ordered cells; its two correspondents sit exactly
-    (k-1)pi/k apart while the sphere distance of the pair is zero.
+    (k-1)pi/k apart while the sphere distance of the pair is zero.  The pair
+    is two one-row batches, over cells 1 and k+1.
     """
     _check_k(k)
-    coords = np.zeros(k + 1)
-    coords[0] = 1.0
-    coords[-1] = -1.0
-    x = UnitVector(coords)
-    a1, a2 = cell_angles_many(k, np.stack([x.coords, x.coords]), np.array([1, k + 1]))
-    value = float(geometry.circle_distance_many(a1, a2))
-    return ((x, float(a1)), (x, float(a2))), value
+    x = np.zeros((1, k + 1))
+    x[0, 0], x[0, -1] = 1.0, -1.0
+    x /= np.linalg.norm(x)
+    first, second = (
+        ElementBatch(x, cell_angles_many(k, x, np.array([m])), np.zeros(1, dtype=int), np.array([m - 1]))
+        for m in (1, k + 1)
+    )
+    return (first, second), float(geometry.circle_distance_many(first.b, second.b)[0])
 
 
 class OddCircleCorrespondence(Correspondence):

@@ -277,6 +277,7 @@ def nine_case_witnesses(k: int, samples: int, rng: RngStream) -> list[tuple[str,
 
 
 def check_rpq(k_values, samples: int, rng: RngStream, threads=None) -> list[InvariantResult]:
+    check_k_values("rpq", k_values)
     out = []
     worst_case = 0.0
     worst = {}
@@ -445,10 +446,8 @@ def cell_pair_objectives(k: int, i: int, j: int, xs: np.ndarray, zs: np.ndarray)
 
 
 def check_odd(k_values, samples: int, rng: RngStream, threads=None) -> list[InvariantResult]:
+    check_k_values("odd", k_values)
     out = []
-    for k in k_values:
-        if k % 2 == 0 or k < 3:
-            raise ValueError(f"odd scope needs odd k >= 3, got {k}")
 
     if 3 in k_values:
         out.append(
@@ -614,6 +613,17 @@ def check_packing(rng: RngStream) -> list[InvariantResult]:
 # driver
 # ---------------------------------------------------------------------------
 
+def check_k_values(scope: str, k_values) -> None:
+    """Raise ValueError unless every k suits every scope that ``scope`` runs."""
+    if scope not in ("rpq", "odd", "all"):
+        raise ValueError(f"scope {scope} reads no k values; only rpq, odd and all take --k")
+    for k in k_values:
+        if scope != "odd" and k < 2:
+            raise ValueError(f"rpq scope needs k >= 2, got {k}")
+        if scope != "rpq" and (k < 3 or k % 2 == 0):
+            raise ValueError(f"odd scope needs odd k >= 3, got {k}")
+
+
 def run_verify(
     scope: str,
     k_values=None,
@@ -624,8 +634,8 @@ def run_verify(
     """Run one verification scope (or all) and return its invariant records."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if k_values is not None and scope not in ("rpq", "odd", "all"):
-        raise ValueError(f"scope {scope} reads no k values; only rpq, odd and all take --k")
+    if k_values is not None:  # before any scope runs, so a bad k costs no work
+        check_k_values(scope, k_values)
     rng = RngStream(seed)
     scopes = SCOPES if scope == "all" else (scope,)
     out: list[InvariantResult] = []

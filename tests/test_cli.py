@@ -1,17 +1,22 @@
 import dataclasses
 import hashlib
+import importlib
 import inspect
 import json
+import pkgutil
+import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spherecorr import PackingBudget, RngStream, SearchBudget, optimize_packing
+import spherecorr
+from spherecorr import PackingBudget, RngStream, SearchBudget, estimate_distortion, optimize_packing, verify
 from spherecorr.cli import build_parser, main, parse_k_range
 from spherecorr.serialize import dumps
 from spherecorr.verify import run_verify
+from spherecorr.voronoi_corr import even_cross
 
 
 @pytest.fixture(autouse=True)
@@ -289,6 +294,39 @@ def test_phase_b_bytes_are_pinned(capsys, argv, threads, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+RPQ_ESTIMATE_DIGESTS = {
+    2: "b5e60249848583e9e36e5371d6e2edbef0025d5db65ee8317b60e6cca22f75cb",
+    3: "f0e04bc806152766027d8db907c61d5da95e8af49ee12f8e9f842f959021fbc8",
+    4: "f17b731898e2f63e8aa30989771a613e21bea3b7226714c4f16ce22bc1c66639",
+    5: "52f4cac534c4d2236cb4c8f46c40ad2c2ee552abe96dcb64663c4412b9964968",
+    6: "b58f68443a8d1ca51f863af0bfa6676ba54e801e0d7cfb76ed244c62115ca50a",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("k", sorted(RPQ_ESTIMATE_DIGESTS))
+def test_rpq_scope_estimate_reports_are_pinned(k, threads):
+    # the estimate-within-bound runs of `verify --scope rpq --k 2..6 --seed 0`: their
+    # printed row reads only pass or fail, so the reports themselves are pinned here
+    corr, _ = even_cross(k)
+    report = estimate_distortion(corr, SearchBudget(20000, 60), RngStream(0).child(3, 100 + k), threads=threads)
+    assert hashlib.sha256(dumps(report.to_json_dict()).encode()).hexdigest() == RPQ_ESTIMATE_DIGESTS[k]
+
+
+@pytest.mark.parametrize("argv", [("--scope", "all", "--k", "2..3"), ("--scope", "rpq", "--k", "1..3")])
+def test_verify_rejects_a_bad_k_before_any_scope_runs(capsys, monkeypatch, argv):
+    def ran(*args):
+        raise AssertionError("a scope ran before its k values were checked")
+
+    for check in ("check_geometry", "check_pointsets", "check_rpq", "check_odd", "check_packing"):
+        monkeypatch.setattr(verify, check, ran)
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "scope needs" in captured.err
+
+
 @pytest.mark.parametrize("scope", ["geometry", "pointsets", "packing"])
 def test_verify_rejects_k_for_a_scope_that_reads_none(capsys, scope):
     code = main(["verify", "--scope", scope, "--k", "3"])
@@ -347,6 +385,27 @@ def test_readme_command_lines_parse():
     assert lines
     for line in lines:
         build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
+def readme_module_names() -> list[tuple[str, str]]:
+    """Every backticked ``<module>.<name>`` of the README, for spherecorr's modules."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    modules = {m.name for m in pkgutil.iter_modules(spherecorr.__path__)} | {"spherecorr"}
+    spans = re.findall(r"`([^`]+)`", text)
+    cited = (re.fullmatch(r"(\w+)\.(\w+)(\(.*\))?", span, flags=re.S) for span in spans)
+    return [(m[1], m[2]) for m in cited if m and m[1] in modules]
+
+
+def test_readme_module_names_resolve():
+    # a deleted or renamed name that the README cites as `module.name` fails here
+    names = readme_module_names()
+    assert ("geometry", "hill_climb") in names and ("spherecorr", "distortion") in names
+    for module, name in names:
+        if module == "spherecorr":
+            importlib.import_module(f"spherecorr.{name}")
+        else:
+            assert hasattr(importlib.import_module(f"spherecorr.{module}"), name), f"{module}.{name}"
 
 
 @pytest.mark.parametrize("argv, budget", [

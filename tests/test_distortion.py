@@ -20,7 +20,6 @@ from spherecorr import (
 from spherecorr.distortion import (
     ElementBatch,
     IdentityCorrespondence,
-    RelationElement,
     _climb_pairs,
     _in_relation,
     _objectives,
@@ -33,9 +32,9 @@ from spherecorr.serialize import dumps
 
 
 def odd_element(k, x_coords, m):
-    angle = float(odd_corr.cell_angles_many(k, np.asarray(x_coords)[None, :], np.array([m]))[0])
-    coords = np.asarray(x_coords, dtype=float)
-    return RelationElement(0, coords, coords, angle, m - 1)
+    """The relation element over ``x_coords`` in ordered cell m, as a one-row batch."""
+    x = np.asarray(x_coords, dtype=float)[None, :]
+    return ElementBatch(x, odd_corr.cell_angles_many(k, x, np.array([m])), np.zeros(1, dtype=int), np.array([m - 1]))
 
 
 def test_budget_validation():
@@ -129,7 +128,8 @@ def test_zero_budget_errors():
 def test_refine_pair_rejects_invalid_input():
     corr = OddCircleCorrespondence(3)
     x = np.array([1.0, 0, 0, 0])
-    bogus = RelationElement(0, x, x, 1.0, 5)  # angle and stratum do not match x
+    # angle and stratum do not match x
+    bogus = ElementBatch(x[None], np.array([1.0]), np.zeros(1, dtype=int), np.array([5]))
     with pytest.raises(ValueError):
         refine_pair(corr, (bogus, bogus), 5)
 
@@ -137,18 +137,21 @@ def test_refine_pair_rejects_invalid_input():
 def test_refine_pair_zero_iters_returns_input():
     corr = OddCircleCorrespondence(3)
     (w1, w2), value = max_distortion_witness(3)
-    e1 = odd_element(3, w1[0].coords, 1)
-    e2 = odd_element(3, w2[0].coords, 4)
+    e1 = odd_element(3, w1.a[0], 1)
+    e2 = odd_element(3, w2.a[0], 4)
     (r1, r2), val = refine_pair(corr, (e1, e2), 0)
-    assert r1 is e1 and r2 is e2
+    for r, e in ((r1, e1), (r2, e2)):
+        assert r is not e  # refine_pair climbs on copies
+        for col_r, col_e in zip(r.columns, e.columns):
+            assert col_r.dtype == col_e.dtype and col_r.tobytes() == col_e.tobytes()
     assert val == pytest.approx(value, abs=1e-12)
 
 
 def test_refine_pair_cannot_improve_optimal_witness():
     corr = OddCircleCorrespondence(3)
     (w1, _), value = max_distortion_witness(3)
-    e1 = odd_element(3, w1[0].coords, 1)
-    e2 = odd_element(3, w1[0].coords, 4)
+    e1 = odd_element(3, w1.a[0], 1)
+    e2 = odd_element(3, w1.a[0], 4)
     _, val = refine_pair(corr, (e1, e2), 50, rng=RngStream(3))
     assert val <= value + 1e-12
     assert val == pytest.approx(value, abs=1e-12)
@@ -179,8 +182,12 @@ def test_refined_elements_remain_members():
     xs = odd_corr.sample_in_ordered_cell_many(3, 2, 1, rng.child(0))
     zs = odd_corr.sample_in_ordered_cell_many(3, 7, 1, rng.child(1))
     pair = (odd_element(3, xs[0], 2), odd_element(3, zs[0], 7))
+    before = [col.copy() for e in pair for col in e.columns]
     (r1, r2), _ = refine_pair(corr, pair, 40, rng=rng.child(2))
-    assert _in_relation(corr, ElementBatch.of([r1, r2])).all()
+    assert _in_relation(corr, ElementBatch.concat([r1, r2])).all()
+    # the climb moves copies: the input rows stay as they were
+    after = [col for e in pair for col in e.columns]
+    assert all(np.array_equal(col, old) for col, old in zip(after, before))
 
 
 def test_report_serialization_fields():
@@ -293,7 +300,7 @@ def test_refined_values_are_realized_and_never_below_start(corr):
     assert np.any(values > start)
     for i in range(40):
         # the climber scores in the arithmetic of pair_objective: equal, not close
-        assert values[i] == pair_objective(corr, first.element(i), second.element(i))
+        assert values[i] == pair_objective(corr, first.take([i]), second.take([i]))
     assert _in_relation(corr, first).all() and _in_relation(corr, second).all()
 
 

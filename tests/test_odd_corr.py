@@ -319,12 +319,16 @@ def test_ordered_cell_blocks_concatenate_to_the_whole_draw(k, block):
 
 def test_max_distortion_witness_values():
     for k in (3, 5, 7):
-        (e1, e2), value = max_distortion_witness(k)
+        (first, second), value = max_distortion_witness(k)
         assert value == pytest.approx((k - 1) * np.pi / k, abs=1e-12)
-        assert e1[0] is e2[0]
+        assert np.array_equal(first.a, second.a)
+        assert first.strata.tolist() == [0] and second.strata.tolist() == [k]
         expected = np.zeros(k + 1)
         expected[0], expected[-1] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-        assert np.allclose(e1[0].coords, expected, atol=1e-15)
+        assert np.allclose(first.a[0], expected, atol=1e-15)
+        corr = OddCircleCorrespondence(k)
+        assert _in_relation(corr, ElementBatch.concat([first, second])).all()
+        assert _objectives(corr, first, second)[0] == value
 
 
 def test_case_reduction_pairs():
@@ -411,11 +415,11 @@ def test_variants_just_outside_a_cell_lie_in_the_closed_cell():
     x /= np.linalg.norm(x)
     corr = OddCircleCorrespondence(k)
     variants = corr.variants_of_free(0, x)
-    assert sorted(v.stratum + 1 for v in variants) == [1, 3]
-    for v in variants:
-        assert odd_corr._cell_mask(k, v.a, 0.0)[v.stratum]
-        assert np.array_equal(v.free, v.a)
-        assert np.linalg.norm(v.a) == pytest.approx(1.0, abs=1e-15)
-    assert _in_relation(corr, ElementBatch.of(variants)).all()
-    moved = next(v for v in variants if v.stratum == 0)
-    assert 0 < np.max(np.abs(moved.a - x)) < 1e-9
+    assert sorted((variants.strata + 1).tolist()) == [1, 3]
+    rows = np.arange(len(variants.strata))
+    assert odd_corr._cell_mask(k, variants.a, 0.0)[rows, variants.strata].all()
+    assert (variants.side == 0).all()  # the free point is a
+    assert np.allclose(np.linalg.norm(variants.a, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert _in_relation(corr, variants).all()
+    moved = variants.a[variants.strata == 0][0]
+    assert 0 < np.max(np.abs(moved - x)) < 1e-9
