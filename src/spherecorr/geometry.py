@@ -193,9 +193,30 @@ def projective_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return geodesic_many(a, np.where((row_dot(a, b) < 0.0)[..., None], -b, b))
 
 
+def wrap_angles(x) -> np.ndarray:
+    """Angles reduced into [0, 2pi), bitwise ``np.mod(x, TWO_PI)``.
+
+    On (-2pi, 4pi), where the engine's angles lie, one shift does it: 2pi
+    is added below 0 (np.mod adds 2pi to the remainder x there), 2pi is
+    subtracted at 2pi and above (exact by Sterbenz), and 0.0 is added
+    elsewhere, which turns -0.0 into +0.0 as np.mod does.  The shift is
+    built without branches, a few plain passes whatever the signs, where
+    np.mod's fmod costs about 14 ns a value.  Other input (nan, inf, larger
+    angles, empty) takes np.mod itself.
+    """
+    x = np.asarray(x, dtype=float)
+    if not (x.size and -TWO_PI < x.min() and x.max() < 2.0 * TWO_PI):
+        return np.mod(x, TWO_PI)
+    shift = (x < 0.0).astype(float)
+    shift -= x >= TWO_PI
+    shift *= TWO_PI
+    shift += x
+    return shift
+
+
 def circle_distance_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Element-wise arc distance between two arrays of angles in radians."""
-    d = np.abs(np.mod(a, TWO_PI) - np.mod(b, TWO_PI))
+    d = np.abs(wrap_angles(a) - wrap_angles(b))
     return np.minimum(d, TWO_PI - d)
 
 

@@ -107,10 +107,15 @@ def cell_angles_many(k: int, xs: np.ndarray, ms: np.ndarray) -> np.ndarray:
 
     A cell of the second half maps through its antipodal cell, that is
     through -x.  Negating a row negates its prefix sums and x_m exactly, so
-    the quotient below is the same without the negated copy.
+    the quotient below is the same without the negated copy.  A cell outside
+    1..2k+2 raises ValueError; with a valid cell, a row of that cell has its
+    raw angle in (-pi, 2pi), inside the fast range of :func:`geometry.wrap_angles`.
     """
+    _check_k(k)
     ms = np.asarray(ms, dtype=int)
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    xs = np.atleast_2d(_points_of(k, xs))
+    if ms.size and (ms.min() < 1 or ms.max() > 2 * k + 2):
+        raise ValueError(f"ordered cell index out of range 1..{2 * k + 2}")
     second_half = ms > k + 1
     m1 = np.where(second_half, ms - (k + 1), ms)
     axis = m1 - 1
@@ -126,7 +131,7 @@ def cell_angles_many(k: int, xs: np.ndarray, ms: np.ndarray) -> np.ndarray:
     coeff = np.pi / (2.0 * k * (k + 1))
     angles = (m1 - 1) * np.pi / (k + 1) + coeff * signed_sum / xm
     angles = angles + np.where(second_half, np.pi, 0.0)
-    return np.mod(angles, 2 * np.pi)
+    return geometry.wrap_angles(angles)
 
 
 def principal_cells_many(k: int, xs: np.ndarray) -> np.ndarray:
@@ -299,31 +304,54 @@ class OddCircleCorrespondence(Correspondence):
         return geometry.circle_distance_many(b1, b2)
 
     def sample_focus_pairs(self, count, rng):
+        """About ``count`` rows, ``count // 8`` pairs of each kind per case-reduction
+        cell pair (i, j): coincident pairs, both elements over one point where
+        cells i and j tie, and independent pairs, x where cell i ties with a
+        random neighbour and z where cell j does.
+
+        Every block of tie points draws its own normals, the rows of
+        :func:`sample_cell_boundary_many` with that block's stream.  The draws
+        go into one buffer; then the tie writes, the normalization and the
+        placement of the rows are one pass each over all blocks.
+        """
         k = self.k
-        per_case = max(1, count // (4 * len(self._focus_pairs)))
-        # (points, cell) blocks; row t of ``left`` pairs with row t of ``right``.
-        left: list[tuple[np.ndarray, int]] = []
-        right: list[tuple[np.ndarray, int]] = []
+        axes, signs, _ = _cell_tables(k)
+        n = max(1, count // (4 * len(self._focus_pairs)))
+        # Per case three draw blocks of n rows: coincident, independent over
+        # cell i, independent over cell j.  ``tie`` holds the two cells whose
+        # coordinates tie in each draw row; ``left`` and ``right`` the draw row
+        # of each output row.
+        draws = np.empty((3 * n * len(self._focus_pairs), k + 1))
+        tie = np.empty((2, len(draws)), dtype=int)
+        left, right = [], []
         for c, (i, j) in enumerate(self._focus_pairs):
             case_rng = rng.child(c)
-            # Coincident boundary pairs: both elements over one tie point.
-            xs = sample_cell_boundary_many(k, i, j, per_case, case_rng.child(0))
-            left.append((xs, i))
-            right.append((xs, j))
-            # Independent boundary pairs: x on a boundary of cell i, z of cell j.
+            start = 3 * n * c
+            case_rng.child(0).generator().standard_normal(out=draws[start : start + n])
+            tie[:, start : start + n] = [[i], [j]]
+            left.append(np.arange(start, start + n))
+            right.append(left[-1])
             gen = case_rng.child(1).generator()
             for main, out, sub in ((i, left, 2), (j, right, 3)):
-                pick = gen.choice(neighbor_cells(k, main), size=per_case)
-                xs = np.empty((per_case, k + 1))
-                for u, m_other in enumerate(np.unique(pick)):
-                    rows = pick == m_other
-                    xs[rows] = sample_cell_boundary_many(
-                        k, main, int(m_other), int(rows.sum()), case_rng.child(sub, u)
-                    )
-                out.append((xs, main))
-        blocks = left + right
-        xs = np.vstack([x for x, _ in blocks])
-        ms = np.concatenate([np.full(len(x), m) for x, m in blocks])
+                start += n
+                pick = gen.choice(np.flatnonzero(axes != axes[main - 1]) + 1, size=n)
+                # One draw block per neighbour, in np.unique order, each with its own stream.
+                order = np.argsort(pick, kind="stable")
+                sizes = np.bincount(pick)
+                ends = start + np.cumsum(sizes[sizes > 0])
+                for u, (lo, hi) in enumerate(zip([start, *ends[:-1]], ends)):
+                    case_rng.child(sub, u).generator().standard_normal(out=draws[lo:hi])
+                tie[0, start : start + n] = main
+                tie[1, start : start + n] = pick[order]
+                place = np.empty(n, dtype=int)
+                place[order] = np.arange(start, start + n)
+                out.append(place)
+        top = geometry.row_max(np.abs(draws))
+        flat = np.arange(0, draws.size, k + 1)  # the first entry of each draw row
+        for cells in tie:
+            draws.reshape(-1)[flat + axes[cells - 1]] = signs[cells - 1] * top
+        xs = geometry.normalize_rows(draws).take(np.concatenate(left + right), axis=0)
+        ms = np.repeat(np.array(self._focus_pairs).T, 2 * n)
         return ElementBatch(
             a=xs, b=cell_angles_many(k, xs, ms), side=np.zeros(len(ms), dtype=int), strata=ms - 1
         )

@@ -63,20 +63,19 @@ class VoronoiCorrespondence(Correspondence):
         n_low = count // 2
         xs = geometry.sample_uniform_many(self.P.dim, n_low, rng.child(0))
         ys = geometry.sample_uniform_many(self.Q.dim, count - n_low, rng.child(1))
-        low = self._elements(0, xs, self.P.nearest_site_many(xs))
-        high = self._elements(1, ys, self.Q.nearest_site_many(ys))
+        cells = np.concatenate([self.P.nearest_site_many(xs), self.Q.nearest_site_many(ys)])
         # Shuffle so that pairing the two batch halves mixes the directions:
-        # row i is row perm[i] of low-then-high, so row j of that lands in slot[j].
+        # row i is row perm[i] of the low elements followed by the high ones
+        # (the rows of :meth:`_elements`).  The a and b columns are each one
+        # gather from the free points of one side and the sites of the other.
         perm = rng.child(2).generator().permutation(count)
-        slot = np.empty(count, dtype=perm.dtype)
-        slot[perm] = np.arange(count)
-        cols = []
-        for lo, hi in zip(low, high):
-            col = np.empty((count, *lo.shape[1:]), dtype=lo.dtype)
-            col[slot[:n_low]] = lo
-            col[slot[n_low:]] = hi
-            cols.append(col)
-        return ElementBatch(*cols)
+        side = (perm >= n_low).astype(int)
+        cells = cells.take(perm)
+        a = np.concatenate([xs, self.P.points()]).take(np.where(side, n_low + cells, perm), axis=0)
+        b = np.concatenate([self.Q.points(), ys]).take(
+            np.where(side, perm + (2 * self.Q.m - n_low), cells), axis=0
+        )
+        return ElementBatch(a, b, side, cells + 2 * self.P.m * side)
 
     def variants_many(self, side, frees):
         if side not in (0, 1):
@@ -107,8 +106,12 @@ class VoronoiCorrespondence(Correspondence):
         (they get a single variant and are dropped by the caller).
         """
         sites = aset.points()
-        order = np.argsort(-(ys @ sites.T), axis=1, kind="stable")
-        s1, s2 = sites[order[:, 0]], sites[order[:, 1]]
+        dots = ys @ sites.T
+        # The first two columns of a stable descending sort: argmax takes the
+        # lowest index among equal maxima, as the sort does.
+        first = dots.argmax(axis=1)
+        dots[np.arange(len(ys)), first] = -np.inf
+        s1, s2 = sites[first], sites[dots.argmax(axis=1)]
         f0, f1 = geometry.row_dot(ys, s1 - s2), geometry.row_dot(s2, s1 - s2)
         movable = geometry.row_dot(ys, s2) > -1.0 + 1e-12
         t = np.where(movable, f0 / (f0 - f1), 0.0)
@@ -125,13 +128,18 @@ class VoronoiCorrespondence(Correspondence):
             ys = geometry.sample_uniform_many(aset.dim, per_side, rng.child(side))
             ties = self._tie_points_many(aset, ys)
             hit = pointsets.cell_mask(aset, ties)
-            # Containing cells of each tie point in index order c0 < c1 < c2;
-            # each point gives the pair (c0, c1), and also (c0, c2) on a triple tie.
-            cells = np.argsort(~hit, axis=1, kind="stable")
+            # Containing cells of each tie point in index order c0 < c1 < c2,
+            # each the first True left after clearing the ones before; each
+            # point gives the pair (c0, c1), and also (c0, c2) on a triple tie.
             rows = np.repeat(np.arange(per_side), np.clip(hit.sum(axis=1) - 1, 0, 2))
-            second = 1 + np.arange(rows.size) - np.searchsorted(rows, rows)
-            left.append(self._elements(side, ties[rows], cells[rows, 0]))
-            right.append(self._elements(side, ties[rows], cells[rows, second]))
+            c = []
+            for _ in range(3):
+                c.append(hit.argmax(axis=1))
+                hit[np.arange(per_side), c[-1]] = False
+            partner = np.where(geometry.run_heads(rows), c[1][rows], c[2][rows])
+            pts = ties[rows]
+            left.append(self._elements(side, pts, c[0][rows]))
+            right.append(self._elements(side, pts, partner))
         return ElementBatch(*(np.concatenate(col) for col in zip(*(left + right))))
 
 

@@ -184,6 +184,20 @@ def test_distortion_byte_identical_across_threads(capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
+@pytest.mark.parametrize("corr, k", [("odd-rk", "3"), ("odd-rk", "9"), ("rpq-even-cross", "4")])
+def test_phase_a_reports_are_thread_independent(capsys, corr, k):
+    # four shards, no refinement: every printed byte comes from phase A
+    outs = []
+    for threads in ("1", "2"):
+        code, out = run_cli(
+            capsys, "distortion", "--corr", corr, "--k", k,
+            "--samples", "131072", "--refine-iters", "0", "--seed", "0", "--threads", threads,
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_packing_command_and_cache(capsys, tmp_path):
     args = (
         "packing", "--n", "2", "--k", "3",

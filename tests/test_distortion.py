@@ -29,6 +29,7 @@ from spherecorr.distortion import (
 from spherecorr import odd_corr
 from spherecorr.parallel import run_shards
 from spherecorr.serialize import dumps
+from spherecorr.voronoi_corr import even_cross
 
 
 def odd_element(k, x_coords, m):
@@ -229,7 +230,18 @@ def test_focus_batches_have_aligned_pair_rows(corr):
      "07a7de348327fa4d34696a55e672a49bf9337cbe8f5557876e3d318f4ed86a58"),
     (lambda: VoronoiCorrespondence(evenly_spaced_circle_set(5), cross_polytope_set(4)).sample_batch(5000, RngStream(0)),
      "b3b28ec1cdcc75dda8174efc85397aad4868ed3d424632b5cc00773ce55d2a49"),
-], ids=["odd3-batch", "odd3-focus", "rpq4-batch"])
+    (lambda: OddCircleCorrespondence(5).sample_focus_pairs(5000, RngStream(0)),
+     "9f2885eefeab5821dd99cc186c50dbf25571358c62f9f0311b45cd0bc3a07e08"),
+    # rows 10 wide: row_max and row_norms take numpy's reductions
+    (lambda: OddCircleCorrespondence(9).sample_focus_pairs(5000, RngStream(0)),
+     "31bdd97bae819744242450fda89116803d85f1aa5e7a73df954871c07b259a17"),
+    (lambda: VoronoiCorrespondence(evenly_spaced_circle_set(5), cross_polytope_set(4)).sample_focus_pairs(5000, RngStream(0)),
+     "530265d1656badbc4f0fb92d1510454b59d3ece85f29a59c7ff1d1d47c026bc7"),
+    (lambda: OddCircleCorrespondence(9).sample_batch(5000, RngStream(0)),
+     "859bd6b133bdba323a2184b34d816d687557dd2285d35b85b1bbafa56dcac67d"),
+    (lambda: even_cross(9)[0].sample_batch(5000, RngStream(0)),
+     "5092c9701942ffcb37bd07e1d61c5ff3df0b08c38192a8460c04391d6f20fc0b"),
+], ids=["odd3-batch", "odd3-focus", "rpq4-batch", "odd5-focus", "odd9-focus", "rpq4-focus", "odd9-batch", "rpq9-batch"])
 def test_sampler_columns_are_pinned(sampler, digest):
     # every column of a phase A batch, bit for bit: a kernel that reorders a
     # reduction or drops a copy must leave these bytes alone

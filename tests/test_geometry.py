@@ -8,6 +8,7 @@ from spherecorr import RngStream, UnitVector
 from spherecorr.geometry import (
     COLUMN_LOOP_WIDTH,
     HALF_CHORD_COS,
+    TWO_PI,
     circle_distance_many,
     clip_cosine,
     geodesic_many,
@@ -20,6 +21,7 @@ from spherecorr.geometry import (
     row_norms,
     sample_uniform_blocks,
     sample_uniform_many,
+    wrap_angles,
 )
 from spherecorr.parallel import SHARD_SIZE
 
@@ -76,6 +78,44 @@ def test_circle_distance_values():
     # direct arithmetic on the worked corner angles
     assert circle_distance_many(-np.pi / 24, 43 * np.pi / 24) == pytest.approx(np.pi / 6, abs=1e-12)
     assert circle_distance_many(7 * np.pi / 24, 35 * np.pi / 24) == pytest.approx(5 * np.pi / 6, abs=1e-12)
+
+
+def assert_wraps_like_mod(x):
+    x = np.asarray(x, dtype=float)
+    with np.errstate(invalid="ignore"):  # np.mod of an infinity
+        want = np.mod(x, TWO_PI)
+        got = wrap_angles(x)
+    assert np.shape(got) == want.shape
+    # bitwise, so that -0.0 against +0.0 and nan payloads count
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+WRAP_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324,
+    np.nextafter(TWO_PI, 0.0), TWO_PI, np.nextafter(TWO_PI, 10.0),
+    np.nextafter(2 * TWO_PI, 0.0), 2 * TWO_PI, np.nextafter(2 * TWO_PI, 20.0),
+    np.nextafter(-TWO_PI, 0.0), -TWO_PI, np.nan, np.inf, -np.inf,
+]
+
+
+@pytest.mark.parametrize("x", WRAP_EDGES)
+def test_wrap_angles_is_np_mod_at_the_edges(x):
+    assert_wraps_like_mod(x)  # 0-d input
+    assert_wraps_like_mod([x])
+    # next to in-range values, so that the fast path decides from the whole array
+    assert_wraps_like_mod([1.0, x, 3.0])
+
+
+def test_wrap_angles_is_np_mod_on_empty_and_stacked_input():
+    assert_wraps_like_mod(np.empty(0))
+    assert_wraps_like_mod(np.array(WRAP_EDGES[:12]).reshape(3, 4))
+
+
+@given(hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(-3 * np.pi, 5 * np.pi)))
+@settings(max_examples=300, deadline=None)
+def test_wrap_angles_is_np_mod_bitwise(x):
+    # (-3pi, 5pi) covers the fast range (-2pi, 4pi) and the np.mod fallback past it
+    assert_wraps_like_mod(x)
 
 
 @given(st.floats(-50, 50), st.floats(-50, 50))

@@ -96,6 +96,25 @@ def test_corner_angles_match_worked_example():
     assert np.allclose(anti, np.array([19, 23, 31, 35]) * PI24, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("cell", [0, -1, 9, 100])
+def test_cell_angles_reject_a_cell_out_of_range(cell):
+    # cell 0 once read the last column and gave this row the angle 5.37
+    with pytest.raises(ValueError, match="out of range"):
+        odd_corr.cell_angles_many(3, np.array([CORNER, CORNER]), np.array([1, cell]))
+
+
+@pytest.mark.parametrize("k", [2, 4, 1])
+def test_cell_angles_reject_a_k_without_ordered_cells(k):
+    with pytest.raises(ValueError, match="odd k >= 3"):
+        odd_corr.cell_angles_many(k, np.ones((1, k + 1)) / np.sqrt(k + 1), np.array([1]))
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_cell_angles_reject_rows_of_the_wrong_width(width):
+    with pytest.raises(ValueError, match="expected S\\^3"):
+        odd_corr.cell_angles_many(3, np.ones((2, width)) / np.sqrt(width), np.array([1, 2]))
+
+
 def test_correspondents_of_corner():
     angles_close(
         correspondents(3, CORNER),
@@ -400,6 +419,41 @@ def test_focus_pairs_are_valid_relation_elements():
         batch = corr.sample_focus_pairs(256, RngStream(19).child(k))
         assert len(batch.strata) > 0
         assert _in_relation(corr, batch).all(), k
+
+
+def per_block_focus_pairs(k, count, rng):
+    """Reference: the focus sampler as one sample_cell_boundary_many call per
+    block of tie points, scattered per neighbour cell and stacked."""
+    pairs = odd_corr.case_reduction_pairs(k)
+    per_case = max(1, count // (4 * len(pairs)))
+    left, right = [], []
+    for c, (i, j) in enumerate(pairs):
+        case_rng = rng.child(c)
+        xs = odd_corr.sample_cell_boundary_many(k, i, j, per_case, case_rng.child(0))
+        left.append((xs, i))
+        right.append((xs, j))
+        gen = case_rng.child(1).generator()
+        for main, out, sub in ((i, left, 2), (j, right, 3)):
+            pick = gen.choice(odd_corr.neighbor_cells(k, main), size=per_case)
+            xs = np.empty((per_case, k + 1))
+            for u, m_other in enumerate(np.unique(pick)):
+                rows = pick == m_other
+                xs[rows] = odd_corr.sample_cell_boundary_many(
+                    k, main, int(m_other), int(rows.sum()), case_rng.child(sub, u)
+                )
+            out.append((xs, main))
+    blocks = left + right
+    return np.vstack([x for x, _ in blocks]), np.concatenate([np.full(len(x), m) for x, m in blocks])
+
+
+@pytest.mark.parametrize("k", [3, 5, 9, 11])
+@pytest.mark.parametrize("count", [1, 9, 100, 5000])
+def test_focus_pairs_match_the_per_block_sampler_bitwise(k, count):
+    batch = OddCircleCorrespondence(k).sample_focus_pairs(count, RngStream(23).child(k))
+    xs, ms = per_block_focus_pairs(k, count, RngStream(23).child(k))
+    assert batch.a.tobytes() == xs.tobytes()
+    assert batch.b.tobytes() == odd_corr.cell_angles_many(k, xs, ms).tobytes()
+    assert np.array_equal(batch.strata, ms - 1) and not batch.side.any()
 
 
 @pytest.mark.parametrize("side", [1, 7, -1])

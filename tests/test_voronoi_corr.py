@@ -116,6 +116,20 @@ def test_sample_batch_membership_and_reproducibility():
         assert np.array_equal(col, col2)
 
 
+@pytest.mark.parametrize("k, count", [(2, 1), (2, 7), (4, 1000), (9, 301)])
+def test_sample_batch_is_the_shuffled_elements_of_both_sides(k, count):
+    corr, rng = even_cross(k), RngStream(8)
+    n_low = count // 2
+    xs = sample_uniform_many(corr.P.dim, n_low, rng.child(0))
+    ys = sample_uniform_many(corr.Q.dim, count - n_low, rng.child(1))
+    low = corr._elements(0, xs, corr.P.nearest_site_many(xs))
+    high = corr._elements(1, ys, corr.Q.nearest_site_many(ys))
+    perm = rng.child(2).generator().permutation(count)
+    for col, lo, hi in zip(corr.sample_batch(count, rng).columns, low, high):
+        want = np.concatenate([lo, hi])[perm]
+        assert col.dtype == want.dtype and col.tobytes() == want.tobytes()
+
+
 def test_sampler_hits_every_stratum():
     # coupon-collector check: all 12 strata (6 cells x 2 directions) appear
     corr = even_cross(2)
@@ -186,6 +200,31 @@ def test_focus_pairs_are_valid_relation_elements():
     batch = corr.sample_focus_pairs(64, RngStream(6))
     assert len(batch.strata) > 0
     assert _in_relation(corr, batch).all()
+
+
+def sorted_cell_focus_pairs(corr, count, rng):
+    """Reference: the focus pairs with each tie point's containing cells read
+    off a stable argsort of its cell mask."""
+    per_side = max(1, count // 8)
+    left, right = [], []
+    for side, aset in ((1, corr.Q), (0, corr.P)):
+        ys = sample_uniform_many(aset.dim, per_side, rng.child(side))
+        ties = VoronoiCorrespondence._tie_points_many(aset, ys)
+        hit = cell_mask(aset, ties)
+        cells = np.argsort(~hit, axis=1, kind="stable")
+        rows = np.repeat(np.arange(per_side), np.clip(hit.sum(axis=1) - 1, 0, 2))
+        second = 1 + np.arange(rows.size) - np.searchsorted(rows, rows)
+        left.append(corr._elements(side, ties[rows], cells[rows, 0]))
+        right.append(corr._elements(side, ties[rows], cells[rows, second]))
+    return [np.concatenate(col) for col in zip(*(left + right))]
+
+
+@pytest.mark.parametrize("k", [2, 4, 9])
+def test_focus_pairs_match_the_sorted_cell_reference(k):
+    corr = even_cross(k)
+    got = corr.sample_focus_pairs(4096, RngStream(10).child(k)).columns
+    for col, want in zip(got, sorted_cell_focus_pairs(corr, 4096, RngStream(10).child(k))):
+        assert col.dtype == want.dtype and col.tobytes() == want.tobytes()
 
 
 def bisection_ties(aset, ys):
