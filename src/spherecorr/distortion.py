@@ -1,18 +1,22 @@
 """Empirical distortion estimation for sphere correspondences.
 
 A correspondence is exposed to the engine as a black box with three
-abilities: sample relation elements, list the relation elements sitting
-over given free points, and measure row-wise distances on its two factors.
-Both samplers (uniform and the optional focus sampler) return an
-:class:`ElementBatch` whose row i is paired with row half+i.  Phase A scores
-every sampled pair of either batch, tracks the largest value of
-|d_A(a, a') - d_B(b, b')| per stratum pair, and keeps the best pairs of
-every shard as candidates.  Phase B hill-climbs all candidates of all shards
-as one batch, re-deriving membership of every proposal through
-``variants_many``.  Phase A, phase B and :func:`pair_objective` score pairs
-through the one function :func:`_objectives`, so every reported value is
-realized by a concrete, re-checkable witness pair and the estimate is a
-lower bound on the true distortion.
+abilities: name its sampling strata (:attr:`Correspondence.stratum_labels`),
+draw relation elements uniformly (``sample_batch``), and list the relation
+elements over given free points (``variants_many``, the membership query).
+An optional focus sampler draws targeted pairs.  Both samplers return an
+:class:`ElementBatch` whose row i is paired with row half+i.  The engine
+picks each factor's metric from the shape of its column through
+:func:`factor_distances`: the arc distance for a column of circle angles,
+the geodesic for rows of unit vectors.  Phase A scores every sampled pair of
+either batch, tracks the largest value of |d_A(a, a') - d_B(b, b')| per
+stratum pair, and keeps the best pairs of every shard as candidates.  Phase
+B hill-climbs all candidates of all shards as one batch, re-deriving
+membership of every proposal through ``variants_many``.  Phase A, phase B
+and :func:`pair_objective` score pairs through the one function
+:func:`_objectives`, so every reported value is realized by a concrete,
+re-checkable witness pair and the estimate is a lower bound on the true
+distortion.
 """
 
 from __future__ import annotations
@@ -74,23 +78,21 @@ class ElementBatch:
 
 
 class Correspondence(ABC):
-    """Relation between two spheres, exposed through samplers and queries.
+    """Relation between two spheres, exposed through samplers and a membership query.
 
-    ``dist_a`` and ``dist_b`` are the only distances the engine scores; on a
-    sphere factor they are :func:`geometry.geodesic_many`, which is accurate
-    at 0 and pi where the distortion of a collapse is attained.  The free
-    point of a side-s element lies on factor s: ``a`` for side 0, ``b`` for
-    side 1.
+    A subclass names its strata, draws relation elements uniformly and lists
+    the elements over given free points; the focus sampler is optional.  It
+    measures no distances: :func:`factor_distances` scores an angle column
+    (the circle factor) by arc length and unit-vector rows (a sphere factor)
+    by :func:`geometry.geodesic_many`, which is accurate at 0 and pi where
+    the distortion of a collapse is attained.  The free point of a side-s
+    element lies on factor s: ``a`` for side 0, ``b`` for side 1.
     """
 
     @property
     @abstractmethod
-    def n_strata(self) -> int:
-        """Number of sampling strata (cells / intervals, counted per side)."""
-
-    @abstractmethod
-    def stratum_label(self, stratum: int) -> str:
-        """Human-readable name of one stratum."""
+    def stratum_labels(self) -> tuple[str, ...]:
+        """Names of the sampling strata (cells / intervals, counted per side), by index."""
 
     @abstractmethod
     def sample_batch(self, count: int, rng: RngStream) -> ElementBatch:
@@ -107,14 +109,6 @@ class Correspondence(ABC):
     def variants_of_free(self, side: int, free: np.ndarray) -> ElementBatch:
         """All relation elements over one free point: one row of ``variants_many``."""
         return self.variants_many(side, np.asarray(free, dtype=float)[None])[0]
-
-    @abstractmethod
-    def dist_a(self, a1, a2):
-        """Exact distance on factor A, row-wise on stacked points."""
-
-    @abstractmethod
-    def dist_b(self, b1, b2):
-        """Exact distance on factor B, row-wise on stacked points."""
 
     def sample_focus_pairs(self, count: int, rng: RngStream) -> ElementBatch | None:
         """Optional targeted pairs (boundary strata etc.), paired like a batch.
@@ -149,8 +143,8 @@ def _close(p: np.ndarray, q: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def pair_objective(corr: Correspondence, e1: ElementBatch, e2: ElementBatch) -> float:
-    """|d_A(a1, a2) - d_B(b1, b2)| of two one-row batches: one row of :func:`_objectives`."""
-    return float(_objectives(corr, e1, e2)[0])
+    """|d_A(a1, a2) - d_B(b1, b2)| of two one-row batches of ``corr``: one row of :func:`_objectives`."""
+    return float(_objectives(e1, e2)[0])
 
 
 @dataclass
@@ -209,7 +203,7 @@ def _climb_pairs(corr, first: ElementBatch, second: ElementBatch, iters, rngs) -
     element keeps its side, so only its a, b and stratum are written back.
     """
     pair = (first, second)
-    values = _objectives(corr, first, second)
+    values = _objectives(first, second)
     if iters == 0:
         return values
 
@@ -247,31 +241,39 @@ def _climb_pairs(corr, first: ElementBatch, second: ElementBatch, iters, rngs) -
         owner, found = np.concatenate(owners), ElementBatch.concat(found)
         moved = (found.a, found.b, found.strata)
         moved = moved + (None,) * 3 if p == 0 else (None,) * 3 + moved
-        return owner, _objectives(corr, found, other.take(owner)), moved
+        return owner, _objectives(found, other.take(owner)), moved
 
     state = (first.a, first.b, first.strata, second.a, second.b, second.strata)
     return geometry.hill_climb(state, values, iters, REFINE_STEP, np.pi / 4, REFINE_DECAY, propose)
 
 
-def _objectives(corr: Correspondence, first: ElementBatch, second: ElementBatch) -> np.ndarray:
+def factor_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise exact distances on one factor: arc length for a column of circle
+    angles (1-D), :func:`geometry.geodesic_many` for rows of unit vectors (2-D)."""
+    if p.ndim == 1:
+        return geometry.circle_distance_many(p, q)
+    return geometry.geodesic_many(p, q)
+
+
+def _objectives(first: ElementBatch, second: ElementBatch) -> np.ndarray:
     """Row-wise exact pair objectives |d_A - d_B|: the one scoring path of the engine."""
-    return np.abs(corr.dist_a(first.a, second.a) - corr.dist_b(first.b, second.b))
+    return np.abs(factor_distances(first.a, second.a) - factor_distances(first.b, second.b))
 
 
-def _stratum_pair_key(n_strata: int, s1, s2):
+def _stratum_pair_key(strata_count: int, s1, s2):
     """Flat index of the unordered stratum pair; works on ints and arrays."""
-    return np.minimum(s1, s2) * n_strata + np.maximum(s1, s2)
+    return np.minimum(s1, s2) * strata_count + np.maximum(s1, s2)
 
 
-def _scan_pairs(corr: Correspondence, batch: ElementBatch, stratum_max: np.ndarray):
+def _scan_pairs(batch: ElementBatch, strata_count: int, stratum_max: np.ndarray):
     """Objectives and stratum keys of the pairs (i, half+i) of ``batch``.
 
     Folds the objectives into ``stratum_max`` and returns (objectives, keys).
     """
     half = len(batch.strata) // 2
     first, second = batch.take(slice(0, half)), batch.take(slice(half, 2 * half))
-    obj = _objectives(corr, first, second)
-    keys = _stratum_pair_key(corr.n_strata, first.strata, second.strata)
+    obj = _objectives(first, second)
+    keys = _stratum_pair_key(strata_count, first.strata, second.strata)
     np.maximum.at(stratum_max, keys, obj)
     return obj, keys
 
@@ -306,7 +308,8 @@ def estimate_distortion(
     """
     if budget.samples < 2:
         raise ValueError("need at least 2 samples to form a pair")
-    ns = corr.n_strata
+    labels = corr.stratum_labels
+    ns = len(labels)
     sizes = shard_sizes(budget.samples, SHARD_SIZE)
 
     # Phase A (parallel, vectorized): score the sampled pairs of the uniform
@@ -318,13 +321,13 @@ def estimate_distortion(
     def work(index, count, shard_rng):
         stratum_max = np.full(ns * ns, -1.0)
         batch = corr.sample_batch(count, shard_rng.child(0))
-        obj, keys = _scan_pairs(corr, batch, stratum_max)
+        obj, keys = _scan_pairs(batch, ns, stratum_max)
 
         candidates = [_pair_rows(batch, _stratum_picks(obj, keys, stratum_max, budget.restarts))]
         used = count
         focus = corr.sample_focus_pairs(max(2, count // 4), shard_rng.child(1))
         if focus is not None:
-            fobj, _ = _scan_pairs(corr, focus, stratum_max)
+            fobj, _ = _scan_pairs(focus, ns, stratum_max)
             candidates.append(_pair_rows(focus, np.argsort(-fobj, kind="stable")[:2]))
             used += 2 * fobj.size
         return stratum_max, candidates, used
@@ -353,8 +356,7 @@ def estimate_distortion(
     per_stratum = {}
     for flat_key in np.flatnonzero(merged >= 0.0):
         lo, hi = divmod(int(flat_key), ns)
-        label = f"{corr.stratum_label(lo)}|{corr.stratum_label(hi)}"
-        per_stratum[label] = float(merged[flat_key])
+        per_stratum[f"{labels[lo]}|{labels[hi]}"] = float(merged[flat_key])
 
     return DistortionReport(
         estimate=float(values[best]),
@@ -368,17 +370,12 @@ def estimate_distortion(
 class IdentityCorrespondence(Correspondence):
     """The diagonal relation x <-> x on S^dim; its distortion is zero."""
 
+    stratum_labels = ("all",)
+
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("sphere dimension must be >= 1")
         self.dim = dim
-
-    @property
-    def n_strata(self) -> int:
-        return 1
-
-    def stratum_label(self, stratum: int) -> str:
-        return "all"
 
     def sample_batch(self, count, rng):
         xs = geometry.sample_uniform_many(self.dim, count, rng)
@@ -388,8 +385,3 @@ class IdentityCorrespondence(Correspondence):
         frees = np.asarray(frees, dtype=float)
         zeros = np.zeros(len(frees), dtype=int)
         return ElementBatch(a=frees, b=frees, side=zeros, strata=zeros), np.arange(len(frees))
-
-    def dist_a(self, a1, a2):
-        return geometry.geodesic_many(a1, a2)
-
-    dist_b = dist_a

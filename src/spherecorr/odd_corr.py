@@ -265,11 +265,8 @@ class OddCircleCorrespondence(Correspondence):
         self._focus_pairs = case_reduction_pairs(k)
 
     @property
-    def n_strata(self) -> int:
-        return 2 * self.k + 2
-
-    def stratum_label(self, stratum: int) -> str:
-        return f"cell-{stratum + 1}"
+    def stratum_labels(self) -> tuple[str, ...]:
+        return tuple(f"cell-{m}" for m in range(1, 2 * self.k + 3))
 
     def sample_batch(self, count, rng):
         xs = geometry.sample_uniform_many(self.k, count, rng)
@@ -296,12 +293,6 @@ class OddCircleCorrespondence(Correspondence):
         return ElementBatch(a=xs, b=angles, side=np.zeros(len(cells), dtype=int), strata=cells), owner
 
     variants_of_free = Correspondence.variants_of_free  # per-class name, wrapped by perfbench/layers.py
-
-    def dist_a(self, a1, a2):
-        return geometry.geodesic_many(a1, a2)
-
-    def dist_b(self, b1, b2):
-        return geometry.circle_distance_many(b1, b2)
 
     def sample_focus_pairs(self, count, rng):
         """About ``count`` rows, ``count // 8`` pairs of each kind per case-reduction

@@ -6,7 +6,9 @@ the correspondence machinery (evenly spaced circle points, cross-polytope
 vertices, cross-polytope vertices augmented with arc points) and answers
 separation, cell-membership, Voronoi-diameter, and covering queries.
 Separation and the covering radius are exact; the Voronoi diameter is exact
-on S^1 and a sampled, hill-climbed lower estimate elsewhere.
+on S^1 and elsewhere a sampled, hill-climbed estimate that is lower only up
+to :data:`CELL_TOL`: membership admits points that far past a wall, so a
+witness may sit just outside its closed cell.
 
 Cells are numbered by the columns of :meth:`AntipodalSet.points`: column i < m
 is the cell of representative i, column i + m that of its negative, so the
@@ -324,11 +326,14 @@ def voronoi_diameter_estimate(
     rng: RngStream = RngStream(0),
     threads: int | None = None,
 ) -> tuple[float, tuple[UnitVector, UnitVector]]:
-    """Lower estimate of the largest Voronoi cell diameter, with witness pair.
+    """Lower estimate, up to ``CELL_TOL``, of the largest Voronoi cell diameter, with witness pair.
 
     Samples are bucketed by nearest site; each shard finds a far pair per
     cell, and the most promising pairs of all shards are hill-climbed as one
-    batch without leaving their cells.
+    batch without leaving their cells as :func:`cell_mask` admits them, that
+    is up to ``CELL_TOL`` rad past a wall.  So the value can exceed the true
+    diameter by about that much (2.1e-9 at most on the S^2 sets checked
+    against an exact computation).
     On S^1 the answer is computed exactly instead.
 
     Returns

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, odd_corr, packing, pointsets
-from .distortion import ElementBatch, SearchBudget, estimate_distortion
+from .distortion import ElementBatch, SearchBudget, _objectives, estimate_distortion
 from .odd_corr import OddCircleCorrespondence, cell_angles_many
 from .rng import RngStream
 from .voronoi_corr import VoronoiCorrespondence, even_cross
@@ -266,12 +266,12 @@ def nine_case_witnesses(k: int, samples: int, rng: RngStream) -> list[tuple[str,
     worst = np.zeros(9)
     draw = 0
     while counts.min() < need:
-        batch = corr.sample_batch(8 * corr.n_strata * need, rng.child(draw))
+        batch = corr.sample_batch(8 * len(corr.stratum_labels) * need, rng.child(draw))
         half = len(batch.strata) // 2
         first, second = batch.take(slice(0, half)), batch.take(slice(half, 2 * half))
         cases = nine_case_of(corr, first, second)
         counts += np.bincount(cases, minlength=9)
-        np.maximum.at(worst, cases, np.abs(corr.dist_a(first.a, second.a) - corr.dist_b(first.b, second.b)))
+        np.maximum.at(worst, cases, _objectives(first, second))
         draw += 1
     return [(f"case-{i + 1}", float(worst[i]), bounds[i]) for i in range(9)]
 
@@ -579,13 +579,14 @@ PACKING_ANCHORS = {
 def check_packing(rng: RngStream) -> list[InvariantResult]:
     out = []
     budget = packing.PackingBudget(1200, 300, 12)
+    packed = {}  # (n, m) -> result: each size is optimized once, on the stream of its first use
     for child, (n, m, name, detail) in enumerate((
         (1, 5, "circle-five-lines", "five projective points on the circle pack at pi/5"),
         (2, 3, "orthogonal-lines", "m <= n+1 lines reach the projective diameter"),
         (2, 4, "four-lines-plane", "four lines in RP^2 pack at arccos(1/3)"),
     )):
         target, tol = PACKING_ANCHORS[n, m]
-        result = packing.optimize_packing(n, m, budget, rng.child(child))
+        result = packed[n, m] = packing.optimize_packing(n, m, budget, rng.child(child))
         out.append(_result(name, "packing", abs(result.min_dist - target), tol, detail))
     cov = packing.covering_radius_estimate(np.eye(3))
     out.append(
@@ -597,7 +598,7 @@ def check_packing(rng: RngStream) -> list[InvariantResult]:
     )
     worst = 0.0
     for n, m in ((2, 4), (2, 6), (3, 8)):
-        res = packing.optimize_packing(n, m, budget, rng.child(10 + m))
+        res = packed[n, m] if (n, m) in packed else packing.optimize_packing(n, m, budget, rng.child(10 + m))
         c = packing.covering_radius_estimate(res.points)
         worst = max(worst, c - res.min_dist - 0.01)
     out.append(

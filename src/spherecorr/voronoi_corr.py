@@ -42,14 +42,9 @@ class VoronoiCorrespondence(Correspondence):
     # -- engine interface ---------------------------------------------------
 
     @property
-    def n_strata(self) -> int:
-        return 4 * self.P.m
-
-    def stratum_label(self, stratum: int) -> str:
-        m = self.P.m
-        if stratum < 2 * m:
-            return f"P-cell-{stratum + 1}"
-        return f"Q-cell-{stratum - 2 * m + 1}"
+    def stratum_labels(self) -> tuple[str, ...]:
+        cells = range(1, 2 * self.P.m + 1)
+        return tuple(f"{name}-cell-{c}" for name in "PQ" for c in cells)
 
     def _elements(self, side: int, free: np.ndarray, cells: np.ndarray):
         """Batch columns (a, b, side, strata) of the elements over rows ``free`` in ``cells``."""
@@ -85,11 +80,6 @@ class VoronoiCorrespondence(Correspondence):
         return ElementBatch(*self._elements(side, frees.take(owner, axis=0), cells)), owner
 
     variants_of_free = Correspondence.variants_of_free  # per-class name, wrapped by perfbench/layers.py
-
-    def dist_a(self, a1, a2):
-        return geometry.geodesic_many(a1, a2)
-
-    dist_b = dist_a
 
     # -- boundary-focused candidates -----------------------------------------
 

@@ -18,15 +18,17 @@ from spherecorr import (
     rpq_bound,
 )
 from spherecorr.distortion import (
+    Correspondence,
     ElementBatch,
     IdentityCorrespondence,
     _climb_pairs,
     _in_relation,
     _objectives,
     _stratum_picks,
+    factor_distances,
     pair_objective,
 )
-from spherecorr import odd_corr
+from spherecorr import geometry, odd_corr
 from spherecorr.parallel import run_shards
 from spherecorr.serialize import dumps
 from spherecorr.voronoi_corr import even_cross
@@ -78,8 +80,8 @@ def test_witness_realizes_estimate():
         corr, SearchBudget(samples=32768, refine_iters=40), RngStream(9)
     )
     w = report.witness
-    d_a = corr.dist_a(np.asarray(w["x"]), np.asarray(w["x2"]))
-    d_b = corr.dist_b(w["y"], w["y2"])
+    d_a = geometry.geodesic_many(np.asarray(w["x"]), np.asarray(w["x2"]))
+    d_b = geometry.circle_distance_many(w["y"], w["y2"])
     assert abs(abs(d_a - d_b) - report.estimate) <= 1e-12
 
 
@@ -290,6 +292,29 @@ def test_correspondence_without_focus_sampler_returns_none():
     assert IdentityCorrespondence(2).sample_focus_pairs(64, RngStream(0)) is None
 
 
+def test_correspondence_contract_is_labels_samplers_and_membership():
+    assert Correspondence.__abstractmethods__ == {"stratum_labels", "sample_batch", "variants_many"}
+
+
+@pytest.mark.parametrize("corr, metric_b", [
+    (OddCircleCorrespondence(3), geometry.circle_distance_many),
+    (even_cross(3)[0], geometry.geodesic_many),
+], ids=["odd-circle", "rpq-sphere"])
+def test_objectives_pick_each_factor_metric_from_its_column(corr, metric_b):
+    # a column of angles is scored by arc length, unit-vector rows by the geodesic
+    first, second = sampled_pairs(corr, 500, 4)
+    want = np.abs(geometry.geodesic_many(first.a, second.a) - metric_b(first.b, second.b))
+    assert _objectives(first, second).tobytes() == want.tobytes()
+    assert factor_distances(first.b, second.b).tobytes() == metric_b(first.b, second.b).tobytes()
+
+
+def test_stratum_labels_name_every_stratum():
+    assert OddCircleCorrespondence(3).stratum_labels == tuple(f"cell-{m}" for m in range(1, 9))
+    labels = tuple(f"{side}-cell-{c}" for side in "PQ" for c in range(1, 7))
+    assert even_cross(2)[0].stratum_labels == labels
+    assert IdentityCorrespondence(2).stratum_labels == ("all",)
+
+
 CLIMB_CORRS = [
     OddCircleCorrespondence(5),
     VoronoiCorrespondence(evenly_spaced_circle_set(5), cross_polytope_set(4)),
@@ -305,7 +330,7 @@ def sampled_pairs(corr, count, seed):
 @pytest.mark.parametrize("corr", CLIMB_CORRS, ids=["odd", "rpq"])
 def test_refined_values_are_realized_and_never_below_start(corr):
     first, second = sampled_pairs(corr, 40, 12)
-    start = _objectives(corr, first, second)
+    start = _objectives(first, second)
     rngs = [RngStream(13).child(i) for i in range(40)]
     values = _climb_pairs(corr, first, second, 40, rngs)
     assert np.all(values >= start)

@@ -271,7 +271,7 @@ def pair_objectives(k, ms, xs, ns, zs):
         angles = odd_corr.cell_angles_many(k, pts, cells)
         return ElementBatch(a=pts, b=angles, side=np.zeros(len(pts), dtype=int), strata=cells - 1)
 
-    return _objectives(OddCircleCorrespondence(k), elements(ms, xs), elements(ns, zs))
+    return _objectives(elements(ms, xs), elements(ns, zs))
 
 
 def test_pair_objective_values():
@@ -347,7 +347,7 @@ def test_max_distortion_witness_values():
         assert np.allclose(first.a[0], expected, atol=1e-15)
         corr = OddCircleCorrespondence(k)
         assert _in_relation(corr, ElementBatch.concat([first, second])).all()
-        assert _objectives(corr, first, second)[0] == value
+        assert _objectives(first, second)[0] == value
 
 
 def test_case_reduction_pairs():

@@ -1,12 +1,13 @@
 """The streamed sampled checks of ``verify``: the same values as on the whole
-draw, and a peak memory that does not grow with the budget."""
+draw, and a peak memory that does not grow with the budget.  The packing
+scope optimizes each size once."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from spherecorr import RngStream, geometry, odd_corr, verify
+from spherecorr import RngStream, geometry, odd_corr, packing, verify
 from spherecorr.odd_corr import cell_angles_many
 from spherecorr.parallel import SHARD_SIZE
 
@@ -150,3 +151,17 @@ def test_streamed_odd_check_memory_does_not_grow_with_count(check):
     small = traced_peak(check, 3, 50_000, RngStream(0))
     large = traced_peak(check, 3, 500_000, RngStream(0))
     assert large <= 1.5 * small, (small, large)
+
+
+def test_check_packing_optimizes_each_size_once(monkeypatch):
+    calls = []
+    optimize = packing.optimize_packing
+
+    def counted(n, m, *args, **kwargs):
+        calls.append((n, m))
+        return optimize(n, m, *args, **kwargs)
+
+    monkeypatch.setattr(packing, "optimize_packing", counted)
+    results = verify.check_packing(RngStream(0).child(5))
+    assert sorted(calls) == [(1, 5), (2, 3), (2, 4), (2, 6), (3, 8)]
+    assert all(r.passed for r in results)
