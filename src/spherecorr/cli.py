@@ -138,8 +138,7 @@ def cmd_table(args) -> int:
         rng=RngStream(args.seed),
         store=packing.PackingStore(),
     )
-    slim = [{key: row[key] for key in ("k", "bound", "gap", "gap_sqrtk")} for row in rows]
-    _emit(slim, args.format, args.out)
+    _emit(rows, args.format, args.out)
     return 0
 
 

@@ -35,6 +35,9 @@ from .rng import RngStream
 REFINE_STEP = np.pi / 16
 REFINE_DECAY = 0.9
 
+# Strata per shard whose best pair becomes a phase B candidate.
+CANDIDATE_STRATA = 8
+
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -42,10 +45,9 @@ class SearchBudget:
 
     samples: int = 1_000_000
     refine_iters: int = 200
-    restarts: int = 8
 
     def __post_init__(self):
-        if self.samples < 1 or self.refine_iters < 0 or self.restarts < 1:
+        if self.samples < 1 or self.refine_iters < 0:
             raise ValueError("budget fields must be positive (refine_iters may be 0)")
 
 
@@ -278,14 +280,14 @@ def _scan_pairs(batch: ElementBatch, strata_count: int, stratum_max: np.ndarray)
     return obj, keys
 
 
-def _stratum_picks(obj, keys, stratum_max, restarts: int) -> np.ndarray:
-    """Rows of the best pair of each of the top ``restarts`` strata, without a sort:
+def _stratum_picks(obj, keys, stratum_max, count: int) -> np.ndarray:
+    """Rows of the best pair of each of the top ``count`` strata, without a sort:
     a key's pick is its earliest row attaining ``stratum_max``, and picks come
     by decreasing objective, earliest row first."""
     tops = np.flatnonzero(obj == stratum_max[keys])
     _, first = np.unique(keys[tops], return_index=True)
     best = tops[first]
-    return best[np.lexsort((best, -obj[best]))][:restarts]
+    return best[np.lexsort((best, -obj[best]))][:count]
 
 
 def _pair_rows(batch: ElementBatch, idx) -> tuple[ElementBatch, ElementBatch]:
@@ -323,7 +325,7 @@ def estimate_distortion(
         batch = corr.sample_batch(count, shard_rng.child(0))
         obj, keys = _scan_pairs(batch, ns, stratum_max)
 
-        candidates = [_pair_rows(batch, _stratum_picks(obj, keys, stratum_max, budget.restarts))]
+        candidates = [_pair_rows(batch, _stratum_picks(obj, keys, stratum_max, CANDIDATE_STRATA))]
         used = count
         focus = corr.sample_focus_pairs(max(2, count // 4), shard_rng.child(1))
         if focus is not None:

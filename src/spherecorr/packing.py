@@ -15,15 +15,15 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import geometry, serialize
-from .pointsets import AntipodalSet, arc_rows, covering_radius, cross_polytope_set, cross_polytope_vdiam_exact
+from .pointsets import AntipodalSet, arc_rows, covering_radius, cross_polytope_vdiam_exact, separation
 from .rng import RngStream
-from .voronoi_corr import VoronoiCorrespondence, rpq_bound
 
 BETA_SCHEDULE = (8.0, 32.0, 128.0, 512.0)
 
@@ -63,14 +63,6 @@ class PackingBudget:
             raise ValueError("budget fields must be positive (polish_steps may be 0)")
 
 
-def projective_gram(points: np.ndarray) -> np.ndarray:
-    """Pairwise projective distances, with +inf on the diagonal.
-
-    ``points`` is one (m, n+1) configuration or an (R, m, n+1) stack of them.
-    """
-    return _gram_distances(points @ np.swapaxes(points, -1, -2))
-
-
 def _gram_distances(gram: np.ndarray) -> np.ndarray:
     """Projective distances from Gram matrices of unit rows, +inf on the diagonals."""
     d = np.arccos(geometry.clip_cosine(np.abs(gram)))
@@ -83,7 +75,7 @@ def min_pair_distance(points: np.ndarray) -> float:
     """Exact minimum pairwise projective distance of a configuration."""
     if points.shape[0] < 2:
         raise ValueError("need at least two points")
-    return float(np.min(projective_gram(points)))
+    return float(np.min(_gram_distances(points @ points.T)))
 
 
 def canonicalize_signs(points: np.ndarray) -> np.ndarray:
@@ -274,19 +266,21 @@ def covering_radius_estimate(points) -> float:
 # ---------------------------------------------------------------------------
 
 def packing_bound(points: np.ndarray, k: int) -> float:
-    """Certified bound max(arccos(-(k-1)/(k+1)), pi - p, 2 cov) from k+1 lines in RP^n.
+    """Certified bound max(arccos(-(k-1)/(k+1)), pi - p, 2 cov) from k+1 unit lines in RP^n.
 
-    It is ``rpq_bound`` of +-points collapsed onto the cross-polytope of S^k:
-    a cell of +-points lies within cov of its site, so its diameter is <= 2 cov.
+    It is ``voronoi_corr.rpq_bound`` of +-points collapsed onto the cross-polytope
+    of S^k, whose term pi - pi/2 is below its cell term: a cell of +-points lies
+    within cov of its site, so its diameter is <= 2 cov.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[1] - 1
-    if n < 2 or k <= n:
-        raise ValueError("the packing bound needs 2 <= n < k")
+    if n < 2 or k <= n or points.shape[0] != k + 1:
+        raise ValueError(f"the packing bound needs k+1 lines in RP^n with 2 <= n < k; got {points.shape[0]} lines")
+    if np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) > UNIT_NORM_TOL:
+        raise ValueError("the packing bound needs unit rows: covering_radius assumes them")
     # through this module's name: perfbench's trace wraps it to time packing.covering_s
     two_cov = 2.0 * covering_radius_estimate(points)
-    corr = VoronoiCorrespondence(AntipodalSet(points), cross_polytope_set(k))
-    return rpq_bound(corr, two_cov, cross_polytope_vdiam_exact(k))
+    return max(two_cov, np.pi - separation(AntipodalSet(points)), cross_polytope_vdiam_exact(k))
 
 
 def circle_to_sphere_exact(k: int) -> float:
@@ -407,13 +401,17 @@ def cached_packing(
     """``optimize_packing(n, m, budget, rng)``, read from ``store`` when it holds the entry.
 
     A computed packing is saved to ``store``; with no store it is only computed.
+    A save that raises ``OSError`` is skipped with a ``RuntimeWarning``.
     """
     # store.load, store.save and optimize_packing by name: perfbench's trace wraps them
     result = store.load(n, m, budget, rng) if store is not None else None
     if result is None:
         result = optimize_packing(n, m, budget, rng)
         if store is not None:
-            store.save(n, m, budget, rng, result)
+            try:
+                store.save(n, m, budget, rng, result)
+            except OSError as exc:
+                warnings.warn(f"packing cache save skipped: {exc}", RuntimeWarning, stacklevel=2)
     return result
 
 
@@ -424,15 +422,14 @@ def asymptotic_table(
     rng: RngStream = RngStream(0),
     store: PackingStore | None = None,
 ) -> list[dict]:
-    """Rows (k, bound, gap, gap*sqrt(k), p_lower) using certified packing bounds.
+    """Rows (k, bound, gap, gap*sqrt(k)) using certified packing bounds.
 
     Each row packs k+1 points in RP^n in stages: ``PackingBudget(s, 0,
     budget.restarts)`` for each ``s`` in ``TABLE_STAGES`` below
     ``budget.ascent_steps``, then ``budget`` itself.  It stops at the first
     stage whose bound is the cell term arccos(-(k-1)/(k+1)), the least the
     packing bound can be; a row that no early stage certifies is the one
-    packing at ``budget``.  ``p_lower`` is the minimum distance of the packing
-    that decided the row.  Every stage is read from the store when it holds
+    packing at ``budget``.  Every stage is read from the store when it holds
     the entry and optimized (and cached under its own budget) otherwise.
     """
     if n < 2:
@@ -456,7 +453,6 @@ def asymptotic_table(
                 "bound": float(bound),
                 "gap": float(gap),
                 "gap_sqrtk": float(gap * np.sqrt(k)),
-                "p_lower": float(result.min_dist),
             }
         )
     return rows

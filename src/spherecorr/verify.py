@@ -420,11 +420,13 @@ CORNER_K3 = (((0.5, -0.5, 0.5, 0.5), (-1, 7, 11, 43)), ((-0.5, 0.5, -0.5, -0.5),
 
 
 def corner_correspondent_error(coords, twenty_fourths) -> float:
-    """Worst circle distance from the k = 3 correspondents of ``coords`` to the expected angles."""
+    """Worst circle distance from the k = 3 correspondents of ``coords`` to the expected angles.
+
+    A wrong count scores pi, the largest circle distance."""
     batch, _ = OddCircleCorrespondence(3).variants_many(0, np.array([coords]))
     got = np.sort(batch.b)
     want = np.sort(np.array(twenty_fourths) * np.pi / 24 % (2 * np.pi))
-    return float(np.max(geometry.circle_distance_many(got, want))) if len(got) == len(want) else np.inf
+    return float(np.max(geometry.circle_distance_many(got, want))) if len(got) == len(want) else np.pi
 
 
 def odd_witness_error(k: int) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import importlib
@@ -229,6 +230,23 @@ def test_packing_output_does_not_depend_on_cache_state(capsys, tmp_path, monkeyp
     assert after_table == fresh
 
 
+@pytest.mark.parametrize("argv", [
+    ("packing", "--n", "2", "--k", "3"),
+    ("table", "--n", "2", "--k", "3..4"),
+])
+def test_unusable_cache_location_only_skips_the_save(capsys, tmp_path, monkeypatch, argv):
+    args = (*argv, "--ascent-steps", "50", "--polish-steps", "0", "--restarts", "2")
+    code, fresh = run_cli(capsys, *args)
+    assert code == 0
+    blocked = tmp_path / "a-file"
+    blocked.write_text("")
+    monkeypatch.setenv("SPHERECORR_CACHE", str(blocked))
+    with pytest.warns(RuntimeWarning, match="packing cache save skipped"):
+        code, out = run_cli(capsys, *args)
+    assert code == 0
+    assert out == fresh
+
+
 def test_packing_anchor_default_flags(capsys):
     # six lines in RP^2 pack at arccos(1/sqrt(5)); the benchmark allows 1e-3
     errors = []
@@ -422,6 +440,32 @@ def test_readme_module_names_resolve():
             assert hasattr(importlib.import_module(f"spherecorr.{module}"), name), f"{module}.{name}"
 
 
+def test_distortion_has_no_restarts_flag():
+    # packing's --restarts counts starts; distortion's candidate strata are distortion.CANDIDATE_STRATA
+    with pytest.raises(SystemExit) as exc:
+        main(["distortion", "--corr", "odd-rk", "--k", "3", "--restarts", "8"])
+    assert exc.value.code == 2
+
+
+def readme_command_flags() -> dict[str, list[str]]:
+    """The backticked ``--flag`` spans of each bullet of the README's per-command flag list."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Each command takes only the flags it reads", 1)[1].split("\n\n", 2)[1]
+    bullets = re.findall(r"^- `(\w+)`:(.*?)(?=^- |\Z)", block, flags=re.M | re.S)
+    return {command: re.findall(r"`(--[\w-]+)", body) for command, body in bullets}
+
+
+def test_readme_command_flags_are_options():
+    # a flag the README lists for a command that its subparser does not take fails here
+    flags = readme_command_flags()
+    assert set(flags) == {"bound", "distortion", "packing", "table", "verify"}
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, listed in flags.items():
+        assert listed
+        options = subparsers.choices[command]._option_string_actions
+        assert [flag for flag in listed if flag not in options] == [], command
+
+
 @pytest.mark.parametrize("argv, budget", [
     (("distortion", "--corr", "odd-rk", "--k", "3"), SearchBudget()),
     (("packing", "--n", "2", "--k", "3"), PackingBudget()),
@@ -511,3 +555,14 @@ def test_identical_invocations_are_byte_identical(capsys):
     _, out1 = run_cli(capsys, "bound", "--n", "2", "--k", "3..9")
     _, out2 = run_cli(capsys, "bound", "--n", "2", "--k", "3..9")
     assert out1 == out2
+
+
+def test_verify_reports_a_wrong_correspondent_count_as_a_failure(capsys, monkeypatch):
+    # three expected angles against the corner's four correspondents
+    monkeypatch.setattr(verify, "CORNER_K3", tuple((coords, angles[:3]) for coords, angles in verify.CORNER_K3))
+    code, out = run_cli(capsys, "verify", "--scope", "odd", "--k", "3", "--samples", "5000")
+    assert code == 1
+    records = {r["invariant"]: r for r in map(json.loads, out.splitlines())}
+    assert records["corner-correspondents-k3"]["status"] == "fail"
+    assert records["corner-correspondents-k3"]["max_violation"] == np.pi
+    assert [name for name, r in records.items() if r["status"] == "fail"] == ["corner-correspondents-k3"]

@@ -44,8 +44,6 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(samples=0)
     with pytest.raises(ValueError):
-        SearchBudget(restarts=0)
-    with pytest.raises(ValueError):
         PackingBudget(ascent_steps=0)
     with pytest.raises(ValueError):
         PackingBudget(polish_steps=-1)

@@ -26,6 +26,7 @@ from spherecorr import (
 from spherecorr import geometry, packing
 from spherecorr.pointsets import arc_rows, covering_radius
 from spherecorr.serialize import dumps
+from spherecorr.voronoi_corr import rpq_bound
 
 FAST = PackingBudget(1200, 300, 12)
 
@@ -270,7 +271,7 @@ def test_packing_bound_is_the_certified_collapse_bound(table_packings, n, k):
     assert best_bound(n, k, points) == (value, "upper-bound")
     # the bound holds the engine's estimate for the same correspondence
     corr = VoronoiCorrespondence(AntipodalSet(points), cross_polytope_set(k))
-    report = estimate_distortion(corr, SearchBudget(65536, 60, 8), RngStream(3), threads=1)
+    report = estimate_distortion(corr, SearchBudget(65536, 60), RngStream(3), threads=1)
     assert report.estimate <= value
     # and 2 cov holds the sampled Voronoi diameter it stands in for
     vdiam, _ = voronoi_diameter_estimate(AntipodalSet(points), 20_000, rng=RngStream(4), threads=1)
@@ -286,6 +287,39 @@ def test_packing_bound_usage_errors():
         packing_bound(np.eye(3), 3)  # 3 lines against the 4 of the cross-polytope of S^3
     with pytest.raises(ValueError):
         best_bound(3, 4, np.eye(3)[[0, 1, 2, 0]])  # lines of RP^2 for n = 3
+
+
+def collapse_path_bound(points, k):
+    """The packing bound as the collapse bound of +-points onto the cross-polytope of S^k."""
+    corr = VoronoiCorrespondence(AntipodalSet(points), cross_polytope_set(k))
+    return rpq_bound(corr, 2 * covering_radius(points), cross_polytope_vdiam_exact(k))
+
+
+def test_packing_bound_is_the_collapse_bound_bit_for_bit(table_packings):
+    cases = [(points, k) for (_, k), points in table_packings.items()]
+    n, k, budget = UNCERTIFIED
+    cases.append((optimize_packing(n, k + 1, budget, RngStream(5).child(k)).points, k))
+    for n in range(2, 5):
+        for k in range(n + 1, 13):
+            cases.append((geometry.sample_uniform_many(n, k + 1, RngStream(7).child(n, k)), k))
+    winners = set()
+    for points, k in cases:
+        value = packing_bound(points, k)
+        assert value == collapse_path_bound(points, k)
+        terms = (cross_polytope_vdiam_exact(k), np.pi - packing.min_pair_distance(points), 2 * covering_radius(points))
+        winners.add(int(np.argmax(terms)))
+    # the cell term, pi - p and 2 cov each decide some case
+    assert winners == {0, 1, 2}
+
+
+def test_packing_bound_rejects_rows_off_the_unit_sphere():
+    # covering_radius reads unit rows: these lines scaled by 1.1 would give 2.8864 < 2.9097
+    draws = np.random.default_rng(1)
+    draws.standard_normal((5, 3))
+    points = geometry.normalize_rows(draws.standard_normal((5, 3)))
+    assert packing_bound(points, 4) == pytest.approx(2.9097421266, abs=1e-10)
+    with pytest.raises(ValueError, match="unit rows"):
+        packing_bound(1.1 * points, 4)
 
 
 def test_best_bound_closed_forms():
@@ -462,7 +496,6 @@ def test_uncertified_row_is_the_full_budget_packing(monkeypatch):
     bound = best_bound(n, k, result.points)[0]
     assert bound > cross_polytope_vdiam_exact(k)
     assert row["bound"] == bound
-    assert row["p_lower"] == result.min_dist
 
 
 def test_every_stage_entry_is_its_own_optimize_packing(tmp_path):
