@@ -63,18 +63,31 @@ class PackingBudget:
             raise ValueError("budget fields must be positive (polish_steps may be 0)")
 
 
-def _gram_distances(gram: np.ndarray) -> np.ndarray:
-    """Projective distances from Gram matrices of unit rows, +inf on the diagonals."""
-    d = np.arccos(geometry.clip_cosine(np.abs(gram)))
+def _gram_distances(gram: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Projective distances from Gram matrices of unit rows, +inf on the diagonals.
+
+    Written into ``out`` when given.  |Gram| needs only the clamp at 1 of
+    ``geometry.clip_cosine``.
+    """
+    d = np.abs(gram, out=out)
+    np.arccos(np.minimum(d, 1.0, out=d), out=d)
     m = d.shape[-1]
     d.reshape(-1, m * m)[:, :: m + 1] = np.inf
     return d
 
 
+def _normalize_into(arr: np.ndarray, out: np.ndarray, where=True) -> None:
+    """``geometry.normalize_rows(arr)`` written into the rows of ``out`` that ``where`` selects."""
+    norms = geometry.row_norms(arr)[..., None]
+    if not norms.all():
+        raise ValueError("cannot normalize a zero row")
+    np.divide(arr, norms, out=out, where=where)
+
+
 def min_pair_distance(points: np.ndarray) -> float:
     """Exact minimum pairwise projective distance of a configuration."""
-    if points.shape[0] < 2:
-        raise ValueError("need at least two points")
+    if points.ndim != 2 or points.shape[0] < 2:
+        raise ValueError("need a 2-D array of at least two points")
     return float(np.min(_gram_distances(points @ points.T)))
 
 
@@ -129,38 +142,50 @@ def _soft_ascent(x: np.ndarray, steps: int) -> np.ndarray:
     beta stages, the first ``steps % 4`` stages taking one extra.  The nearest
     pair of a restart always weighs exp(0) = 1, so its weights never vanish; a
     restart whose gradient vanishes stops moving until the next beta stage.
+
+    Steps write into buffers allocated once per call; ``x`` is a copy of the
+    starts.  The gradient ``neg`` is kept negated, exactly: only the sign of
+    an exactly-zero sum differs, and it reaches ``x`` only from a -0.0 in a
+    start.
     """
+    x = np.array(x, dtype=float)
     count, m = x.shape[:2]
+    xt = x.transpose(0, 2, 1)
+    gram, a, w, sign = np.empty((4, count, m, m))
+    w_flat = w.reshape(count, m * m)
+    w_diag = w_flat[:, :: m + 1]
+    neg, scratch = np.empty_like(x), np.empty_like(x)
     per_stage, extra = divmod(steps, len(BETA_SCHEDULE))
     for stage, beta in enumerate(BETA_SCHEDULE):
         iters = per_stage + (stage < extra)
         step = STEP
         shrink = (1e-2) ** (1.0 / max(iters, 1))
-        live = np.ones(count, dtype=bool)
+        live = None  # every restart moves until one's gradient vanishes
         for _ in range(iters):
-            gram = x @ x.transpose(0, 2, 1)
-            a = np.minimum(np.abs(gram), 1.0)
-            w = np.arccos(a)
-            w.reshape(count, -1)[:, :: m + 1] = np.inf
-            w -= w.min(axis=(1, 2), keepdims=True)
+            np.matmul(x, xt, out=gram)
+            np.minimum(np.abs(gram, out=a), 1.0, out=a)
+            np.arccos(a, out=w)
+            w_diag[...] = np.inf
+            w -= np.minimum.reduce(w_flat, axis=1)[:, None, None]
             w *= -beta
             np.exp(w, out=w)  # 0 on the diagonal
-            w /= w.reshape(count, -1).sum(axis=1)[:, None, None]
-            np.negative(w, out=w)
-            w *= np.sign(gram)
-            w /= np.sqrt(np.maximum(1.0 - a * a, 1e-12))
-            grad = w @ x
-            grad -= np.einsum("rij,rij->ri", grad, x)[..., None] * x
-            top = np.sqrt(np.add.reduce(grad * grad, axis=-1).max(axis=1))
-            live &= top >= 1e-300
-            if live.all():
-                x = geometry.normalize_rows(x + (step / top)[:, None, None] * grad)
-            elif live.any():
-                scale = step / np.where(live, top, 1.0)
-                moved = geometry.normalize_rows(x + scale[:, None, None] * grad)
-                x = np.where(live[:, None, None], moved, x)
+            w /= np.add.reduce(w_flat, axis=1)[:, None, None]
+            w *= np.sign(gram, out=sign)  # in place, np.sign took 6x as long at (12, 64, 64)
+            np.subtract(1.0, np.multiply(a, a, out=a), out=a)
+            w /= np.sqrt(np.maximum(a, 1e-12, out=a), out=a)  # the sines sqrt(1 - |Gram|^2)
+            np.matmul(w, x, out=neg)
+            neg -= np.multiply(np.einsum("rij,rij->ri", neg, x)[..., None], x, out=scratch)
+            np.multiply(neg, neg, out=scratch)
+            top = np.sqrt(np.maximum.reduce(np.add.reduce(scratch, axis=-1), axis=1))
+            if live is None and np.minimum.reduce(top) >= 1e-300:
+                scale = step / top
             else:
-                break
+                live = top >= 1e-300 if live is None else live & (top >= 1e-300)
+                if not live.any():
+                    break
+                scale = step / np.where(live, top, 1.0)
+            np.subtract(x, np.multiply(neg, scale[:, None, None], out=scratch), out=scratch)
+            _normalize_into(scratch, x, where=True if live is None else live[:, None, None])
             step *= shrink
     return x
 
@@ -195,25 +220,33 @@ def _polish(x: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
     step = np.full(count, STEP)
     used = np.zeros(count, dtype=int)
     run = np.ones(count, dtype=bool)
+    trial_gram, trial_d = np.empty((2, count, m, m))
+    trial_d_flat = trial_d.reshape(count, m * m)
+    move, trial = np.empty_like(x), np.empty_like(x)
     for it in range(iters):
         used[run] = it + 1
         tight = d <= best[:, None, None] + 1e-12
         c = np.where(tight & upper, -np.sign(gram), 0.0)
-        move = c @ x + c.transpose(0, 2, 1) @ x
-        norms = np.sqrt(np.add.reduce(move * move, axis=-1))
+        np.matmul(c, x, out=move)
+        move += np.matmul(c.transpose(0, 2, 1), x, out=trial)
+        norms = np.sqrt(np.add.reduce(np.multiply(move, move, out=trial), axis=-1))
         active = norms > 1e-300
-        run &= active.any(axis=1)
+        run &= np.logical_or.reduce(active, axis=1)
         if not run.any():
             break
-        pushed = x + step[:, None, None] * move / np.where(active, norms, 1.0)[..., None]
-        trial = geometry.normalize_rows(np.where(active[..., None], pushed, x))
-        trial_gram = trial @ trial.transpose(0, 2, 1)
-        trial_d = _gram_distances(trial_gram)
-        val = trial_d.min(axis=(1, 2))
+        np.multiply(step[:, None, None], move, out=trial)
+        trial /= np.where(active, norms, 1.0)[..., None]
+        trial += x
+        np.copyto(trial, x, where=~active[..., None])
+        _normalize_into(trial, trial)
+        np.matmul(trial, trial.transpose(0, 2, 1), out=trial_gram)
+        _gram_distances(trial_gram, out=trial_d)
+        val = np.minimum.reduce(trial_d_flat, axis=1)
         better = run & (val > best)
-        x[better], best[better] = trial[better], val[better]
         # bitwise what x @ x.T gives next time: the batched matmul works per restart
-        gram[better], d[better] = trial_gram[better], trial_d[better]
+        for kept, new in ((x, trial), (gram, trial_gram), (d, trial_d)):
+            np.copyto(kept, new, where=better[:, None, None])
+        np.copyto(best, val, where=better)
         step = np.where(better, np.minimum(step * 1.2, 0.3), np.where(run, step * POLISH_DECAY, step))
         run &= better | (step >= 1e-13)
     return x, used
@@ -276,6 +309,8 @@ def packing_bound(points: np.ndarray, k: int) -> float:
     n = points.shape[1] - 1
     if n < 2 or k <= n or points.shape[0] != k + 1:
         raise ValueError(f"the packing bound needs k+1 lines in RP^n with 2 <= n < k; got {points.shape[0]} lines")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("the packing bound needs finite rows")
     if np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) > UNIT_NORM_TOL:
         raise ValueError("the packing bound needs unit rows: covering_radius assumes them")
     # through this module's name: perfbench's trace wraps it to time packing.covering_s

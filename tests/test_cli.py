@@ -247,6 +247,24 @@ def test_unusable_cache_location_only_skips_the_save(capsys, tmp_path, monkeypat
     assert out == fresh
 
 
+@pytest.mark.parametrize("argv", [
+    ("packing", "--n", "2", "--k", "3"),
+    ("table", "--n", "2", "--k", "3..4", "--ascent-steps", "200"),
+])
+def test_cache_entry_with_flat_points_is_recomputed(capsys, tmp_path, argv):
+    code, fresh = run_cli(capsys, *argv)
+    assert code == 0
+    paths = sorted((tmp_path / "cache").glob("pack_*.json"))
+    assert paths
+    for path in paths:
+        entry = json.loads(path.read_text())
+        entry["points"] = [0.6, 0.8]
+        path.write_text(json.dumps(entry))
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == fresh
+
+
 def test_packing_anchor_default_flags(capsys):
     # six lines in RP^2 pack at arccos(1/sqrt(5)); the benchmark allows 1e-3
     errors = []

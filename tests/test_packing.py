@@ -24,6 +24,7 @@ from spherecorr import (
     voronoi_diameter_estimate,
 )
 from spherecorr import geometry, packing
+from spherecorr.packing import BETA_SCHEDULE, POLISH_DECAY, STEP
 from spherecorr.pointsets import arc_rows, covering_radius
 from spherecorr.serialize import dumps
 from spherecorr.voronoi_corr import rpq_bound
@@ -212,6 +213,137 @@ def test_canonical_signs_match_the_element_loop():
         assert got[r].tobytes() == canonicalize_signs_loop(stack[r]).tobytes()
 
 
+# The loop bodies packing._soft_ascent and packing._polish replaced (with the
+# _gram_distances they call), kept verbatim as their references: the buffered
+# loops must move every restart through bitwise the same iterates.
+def _gram_distances(gram: np.ndarray) -> np.ndarray:
+    """Projective distances from Gram matrices of unit rows, +inf on the diagonals."""
+    d = np.arccos(geometry.clip_cosine(np.abs(gram)))
+    m = d.shape[-1]
+    d.reshape(-1, m * m)[:, :: m + 1] = np.inf
+    return d
+
+
+def soft_ascent_reference(x: np.ndarray, steps: int) -> np.ndarray:
+    count, m = x.shape[:2]
+    per_stage, extra = divmod(steps, len(BETA_SCHEDULE))
+    for stage, beta in enumerate(BETA_SCHEDULE):
+        iters = per_stage + (stage < extra)
+        step = STEP
+        shrink = (1e-2) ** (1.0 / max(iters, 1))
+        live = np.ones(count, dtype=bool)
+        for _ in range(iters):
+            gram = x @ x.transpose(0, 2, 1)
+            a = np.minimum(np.abs(gram), 1.0)
+            w = np.arccos(a)
+            w.reshape(count, -1)[:, :: m + 1] = np.inf
+            w -= w.min(axis=(1, 2), keepdims=True)
+            w *= -beta
+            np.exp(w, out=w)  # 0 on the diagonal
+            w /= w.reshape(count, -1).sum(axis=1)[:, None, None]
+            np.negative(w, out=w)
+            w *= np.sign(gram)
+            w /= np.sqrt(np.maximum(1.0 - a * a, 1e-12))
+            grad = w @ x
+            grad -= np.einsum("rij,rij->ri", grad, x)[..., None] * x
+            top = np.sqrt(np.add.reduce(grad * grad, axis=-1).max(axis=1))
+            live &= top >= 1e-300
+            if live.all():
+                x = geometry.normalize_rows(x + (step / top)[:, None, None] * grad)
+            elif live.any():
+                scale = step / np.where(live, top, 1.0)
+                moved = geometry.normalize_rows(x + scale[:, None, None] * grad)
+                x = np.where(live[:, None, None], moved, x)
+            else:
+                break
+            step *= shrink
+    return x
+
+
+def polish_reference(x: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
+    x = x.copy()
+    count, m = x.shape[:2]
+    upper = np.triu(np.ones((m, m), dtype=bool), 1)
+    gram = x @ x.transpose(0, 2, 1)
+    d = _gram_distances(gram)
+    best = d.min(axis=(1, 2))
+    step = np.full(count, STEP)
+    used = np.zeros(count, dtype=int)
+    run = np.ones(count, dtype=bool)
+    for it in range(iters):
+        used[run] = it + 1
+        tight = d <= best[:, None, None] + 1e-12
+        c = np.where(tight & upper, -np.sign(gram), 0.0)
+        move = c @ x + c.transpose(0, 2, 1) @ x
+        norms = np.sqrt(np.add.reduce(move * move, axis=-1))
+        active = norms > 1e-300
+        run &= active.any(axis=1)
+        if not run.any():
+            break
+        pushed = x + step[:, None, None] * move / np.where(active, norms, 1.0)[..., None]
+        trial = geometry.normalize_rows(np.where(active[..., None], pushed, x))
+        trial_gram = trial @ trial.transpose(0, 2, 1)
+        trial_d = _gram_distances(trial_gram)
+        val = trial_d.min(axis=(1, 2))
+        better = run & (val > best)
+        x[better], best[better] = trial[better], val[better]
+        # bitwise what x @ x.T gives next time: the batched matmul works per restart
+        gram[better], d[better] = trial_gram[better], trial_d[better]
+        step = np.where(better, np.minimum(step * 1.2, 0.3), np.where(run, step * POLISH_DECAY, step))
+        run &= better | (step >= 1e-13)
+    return x, used
+
+
+def assert_loops_match_the_references(starts, steps, polish_iters=()):
+    before = starts.tobytes()
+    x = packing._soft_ascent(starts, steps)
+    assert starts.tobytes() == before
+    assert x.tobytes() == soft_ascent_reference(starts, steps).tobytes()
+    for iters in polish_iters:
+        got, got_used = packing._polish(x, iters)
+        want, want_used = polish_reference(x, iters)
+        assert got.tobytes() == want.tobytes()
+        assert got_used.tobytes() == want_used.tobytes()
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_buffered_loops_match_the_reference_loops(n):
+    for m in range(2, 18):
+        starts = np.stack(
+            [arc_rows(n, m)]
+            + [geometry.sample_uniform_many(n, m, RngStream(40 + n).child(m, i)) for i in range(1, 12)]
+        )
+        for count in (1, 5, 12):
+            # one to three steps leave some beta stages with no iteration at all
+            for steps in (1, 2, 3, 5):
+                assert_loops_match_the_references(starts[:count], steps)
+        # the full run at one stack size per m, so every size meets every n
+        count = (1, 5, 12)[m % 3]
+        assert_loops_match_the_references(starts[:count], 400, polish_iters=(0, 1, 100))
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 2), (2, 3), (3, 4)])
+def test_buffered_loops_match_the_references_on_dead_starts(n, m):
+    # basis starts have no gradient and no tight pair to push: alone they take
+    # the ascent's break and the polish's, and among live starts the masked step
+    basis = arc_rows(n, m)
+    assert_loops_match_the_references(np.stack([basis] * 3), 400, polish_iters=(0, 1, 100))
+    mixed = np.stack([basis, geometry.sample_uniform_many(n, m, RngStream(9)), basis])
+    x = assert_loops_match_the_references(mixed, 400, polish_iters=(0, 1, 100))
+    assert np.array_equal(x[0], basis) and not np.array_equal(x[1], basis)
+
+
+def test_polish_keeps_the_signed_zeros_of_rows_it_does_not_move():
+    # a planar start whose last coordinates are -0.0: the row outside the tight
+    # pair is only renormalized, and keeps its signed zero
+    ang = np.array([0.0, 0.2, 1.6])
+    x = np.stack([np.cos(ang), np.sin(ang), np.full(3, -0.0)], axis=-1)[None]
+    got, _ = packing._polish(x, 3)
+    assert got.tobytes() == polish_reference(x, 3)[0].tobytes()
+    assert np.signbit(got[0, 2, 2])
+
+
 def test_packing_monotone_in_m():
     # adjacent m can share one optimal value (a plateau), so allow polish-level
     # noise; real restart failures show up orders of magnitude above this
@@ -322,6 +454,16 @@ def test_packing_bound_rejects_rows_off_the_unit_sphere():
         packing_bound(1.1 * points, 4)
 
 
+def test_packing_bound_rejects_non_finite_rows():
+    # NaN > UNIT_NORM_TOL is False, so only an explicit check stops a NaN row
+    points = geometry.normalize_rows(np.random.default_rng(1).standard_normal((5, 3)))
+    for bad in (np.nan, np.inf):
+        broken = points.copy()
+        broken[2, 1] = bad
+        with pytest.raises(ValueError, match="finite rows"):
+            packing_bound(broken, 4)
+
+
 def test_best_bound_closed_forms():
     assert best_bound(1, 4) == (pytest.approx(4 * np.pi / 5, abs=1e-15), "exact")
     assert best_bound(1, 5) == (pytest.approx(4 * np.pi / 5, abs=1e-15), "exact")
@@ -373,8 +515,9 @@ def test_store_keys_on_stream_path_and_format(tmp_path, monkeypatch):
         lambda e: e.update(points=e["points"][:3]),
         lambda e: e.update(points=[row[:2] for row in e["points"]]),
         lambda e: e.update(points=(1.001 * np.asarray(e["points"])).tolist()),
+        lambda e: e.update(points=[0.6, 0.8]),
     ],
-    ids=["n", "m", "rows", "columns", "norms"],
+    ids=["n", "m", "rows", "columns", "norms", "one-row"],
 )
 def test_store_rejects_mismatched_entry(tmp_path, tamper):
     store = PackingStore(tmp_path)
