@@ -64,27 +64,9 @@ def _emit(rows: list[dict], fmt: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _bound_rows(n: int, k_values: list[int]) -> list[dict]:
-    rows = []
-    for k in k_values:
-        value, tag = packing.best_bound(n, k)
-        rows.append(
-            {
-                "n": n,
-                "k": k,
-                "two_dgh_bound": value,
-                "two_dgh_bound_over_pi": value / np.pi,
-                "exactness": tag,
-                "euclidean_bound": packing.euclidean_bound(value),
-                "source": packing.bound_source(n, k),
-            }
-        )
-    return rows
-
-
 def cmd_bound(args) -> int:
     # best_bound rejects every (n, k) outside 1 <= n < k before a row is printed
-    _emit(_bound_rows(args.n, parse_k_range(args.k)), args.format, args.out)
+    _emit(packing.bound_table(args.n, parse_k_range(args.k)), args.format, args.out)
     return 0
 
 

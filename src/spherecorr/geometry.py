@@ -171,19 +171,20 @@ def sample_uniform_blocks(dim: int, count: int, rng: RngStream, block: int):
     )
 
 
-def normalize_rows(arr: np.ndarray) -> np.ndarray:
+def normalize_rows(arr: np.ndarray, out: np.ndarray | None = None, where=True) -> np.ndarray:
     """Normalize the rows of an array to unit Euclidean norm.
 
     The norms are what ``np.linalg.norm(arr, axis=-1, keepdims=True)``
     computes, bitwise, from :func:`row_norms`: the sum of squares goes column
     by column, left to right, over rows narrower than COLUMN_LOOP_WIDTH,
     where numpy adds in the same order, and wider rows keep numpy's pairwise
-    sum.
+    sum.  With ``out`` (which may be ``arr``) only the rows that ``where``
+    selects are written; a zero row raises whether selected or not.
     """
     norms = row_norms(arr)[..., None]
-    if (norms == 0.0).any():
+    if not norms.all():
         raise ValueError("cannot normalize a zero row")
-    return arr / norms
+    return np.divide(arr, norms, out=out, where=where)
 
 
 def projective_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:

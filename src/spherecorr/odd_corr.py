@@ -185,13 +185,24 @@ def sample_cell_boundary_many(k: int, m1: int, m2: int, count: int, rng: RngStre
     _check_k(k)
     if m2 not in neighbor_cells(k, m1):
         raise ValueError(f"ordered cells {m1} and {m2} do not share boundary points")
-    gen = rng.generator()
-    g = gen.standard_normal((count, k + 1))
-    top = geometry.row_max(np.abs(g))
+    return _tie_rows(k, rng.generator().standard_normal((count, k + 1)), m1, m2)
+
+
+def _tie_rows(k: int, g: np.ndarray, first, second) -> np.ndarray:
+    """The rows of the C-contiguous (count, k+1) array ``g``, normalized after the
+    coordinates of cells ``first`` and ``second`` (one cell, or one per row)
+    are set in place to the row's largest magnitude with their cells' signs."""
     axes, signs, _ = _cell_tables(k)
-    g[:, axes[m1 - 1]] = signs[m1 - 1] * top
-    g[:, axes[m2 - 1]] = signs[m2 - 1] * top
+    top = geometry.row_max(np.abs(g))
+    flat = np.arange(0, g.size, k + 1)  # the first entry of each row
+    for cells in (first, second):
+        g.reshape(-1)[flat + axes[cells - 1]] = signs[cells - 1] * top
     return geometry.normalize_rows(g)
+
+
+def _elements(k: int, xs: np.ndarray, ms: np.ndarray) -> ElementBatch:
+    """The elements over the sphere rows ``xs``, row i in ordered cell ms[i]."""
+    return ElementBatch(xs, cell_angles_many(k, xs, ms), np.zeros(len(ms), dtype=int), ms - 1)
 
 
 def sample_in_ordered_cell_many(k: int, m, count: int, rng: RngStream) -> np.ndarray:
@@ -244,10 +255,7 @@ def max_distortion_witness(k: int) -> tuple[tuple[ElementBatch, ElementBatch], f
     x = np.zeros((1, k + 1))
     x[0, 0], x[0, -1] = 1.0, -1.0
     x /= np.linalg.norm(x)
-    first, second = (
-        ElementBatch(x, cell_angles_many(k, x, np.array([m])), np.zeros(1, dtype=int), np.array([m - 1]))
-        for m in (1, k + 1)
-    )
+    first, second = (_elements(k, x, np.array([m])) for m in (1, k + 1))
     return (first, second), float(geometry.circle_distance_many(first.b, second.b)[0])
 
 
@@ -270,11 +278,7 @@ class OddCircleCorrespondence(Correspondence):
 
     def sample_batch(self, count, rng):
         xs = geometry.sample_uniform_many(self.k, count, rng)
-        ms = principal_cells_many(self.k, xs)
-        angles = cell_angles_many(self.k, xs, ms)
-        return ElementBatch(
-            a=xs, b=angles, side=np.zeros(count, dtype=int), strata=ms - 1
-        )
+        return _elements(self.k, xs, principal_cells_many(self.k, xs))
 
     def variants_many(self, side, frees):
         if side != 0:
@@ -289,8 +293,7 @@ class OddCircleCorrespondence(Correspondence):
         out = edges < geometry.row_max(np.abs(xs))
         clipped = np.clip(xs[out], -edges[out, None], edges[out, None])
         xs[out] = clipped / np.sqrt(geometry.row_dot(clipped, clipped))[:, None]
-        angles = cell_angles_many(self.k, xs, cells + 1)
-        return ElementBatch(a=xs, b=angles, side=np.zeros(len(cells), dtype=int), strata=cells), owner
+        return _elements(self.k, xs, cells + 1), owner
 
     variants_of_free = Correspondence.variants_of_free  # per-class name, wrapped by perfbench/layers.py
 
@@ -306,7 +309,6 @@ class OddCircleCorrespondence(Correspondence):
         placement of the rows are one pass each over all blocks.
         """
         k = self.k
-        axes, signs, _ = _cell_tables(k)
         n = max(1, count // (4 * len(self._focus_pairs)))
         # Per case three draw blocks of n rows: coincident, independent over
         # cell i, independent over cell j.  ``tie`` holds the two cells whose
@@ -325,7 +327,7 @@ class OddCircleCorrespondence(Correspondence):
             gen = case_rng.child(1).generator()
             for main, out, sub in ((i, left, 2), (j, right, 3)):
                 start += n
-                pick = gen.choice(np.flatnonzero(axes != axes[main - 1]) + 1, size=n)
+                pick = gen.choice(neighbor_cells(k, main), size=n)
                 # One draw block per neighbour, in np.unique order, each with its own stream.
                 order = np.argsort(pick, kind="stable")
                 sizes = np.bincount(pick)
@@ -337,12 +339,5 @@ class OddCircleCorrespondence(Correspondence):
                 place = np.empty(n, dtype=int)
                 place[order] = np.arange(start, start + n)
                 out.append(place)
-        top = geometry.row_max(np.abs(draws))
-        flat = np.arange(0, draws.size, k + 1)  # the first entry of each draw row
-        for cells in tie:
-            draws.reshape(-1)[flat + axes[cells - 1]] = signs[cells - 1] * top
-        xs = geometry.normalize_rows(draws).take(np.concatenate(left + right), axis=0)
-        ms = np.repeat(np.array(self._focus_pairs).T, 2 * n)
-        return ElementBatch(
-            a=xs, b=cell_angles_many(k, xs, ms), side=np.zeros(len(ms), dtype=int), strata=ms - 1
-        )
+        xs = _tie_rows(k, draws, *tie).take(np.concatenate(left + right), axis=0)
+        return _elements(k, xs, np.repeat(np.array(self._focus_pairs).T, 2 * n))

@@ -32,7 +32,7 @@ CACHE_ENV = "SPHERECORR_CACHE"
 # Version of the PackingStore key and entry layout; bump it when either changes.
 STORE_FORMAT = 4
 
-# Largest deviation from unit length a cached row may show.
+# Largest deviation from unit length that a cached packing or a bounded one may show.
 UNIT_NORM_TOL = 1e-12
 
 # First step of the soft ascent and of the polish; the polish's decay on a rejected move.
@@ -76,12 +76,16 @@ def _gram_distances(gram: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return d
 
 
-def _normalize_into(arr: np.ndarray, out: np.ndarray, where=True) -> None:
-    """``geometry.normalize_rows(arr)`` written into the rows of ``out`` that ``where`` selects."""
-    norms = geometry.row_norms(arr)[..., None]
-    if not norms.all():
-        raise ValueError("cannot normalize a zero row")
-    np.divide(arr, norms, out=out, where=where)
+def _unit_rows(points) -> np.ndarray:
+    """``points`` as a float array if its rows are finite and unit within UNIT_NORM_TOL."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError(f"points must be a 2-D array of unit rows; got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite rows")
+    if np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0), initial=0.0) > UNIT_NORM_TOL:
+        raise ValueError("points must be unit rows: covering_radius assumes them")
+    return pts
 
 
 def min_pair_distance(points: np.ndarray) -> float:
@@ -185,7 +189,7 @@ def _soft_ascent(x: np.ndarray, steps: int) -> np.ndarray:
                     break
                 scale = step / np.where(live, top, 1.0)
             np.subtract(x, np.multiply(neg, scale[:, None, None], out=scratch), out=scratch)
-            _normalize_into(scratch, x, where=True if live is None else live[:, None, None])
+            geometry.normalize_rows(scratch, out=x, where=True if live is None else live[:, None, None])
             step *= shrink
     return x
 
@@ -238,7 +242,7 @@ def _polish(x: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
         trial /= np.where(active, norms, 1.0)[..., None]
         trial += x
         np.copyto(trial, x, where=~active[..., None])
-        _normalize_into(trial, trial)
+        geometry.normalize_rows(trial, out=trial)
         np.matmul(trial, trial.transpose(0, 2, 1), out=trial_gram)
         _gram_distances(trial_gram, out=trial_d)
         val = np.minimum.reduce(trial_d_flat, axis=1)
@@ -305,14 +309,10 @@ def packing_bound(points: np.ndarray, k: int) -> float:
     of S^k, whose term pi - pi/2 is below its cell term: a cell of +-points lies
     within cov of its site, so its diameter is <= 2 cov.
     """
-    points = np.asarray(points, dtype=float)
+    points = _unit_rows(points)
     n = points.shape[1] - 1
     if n < 2 or k <= n or points.shape[0] != k + 1:
         raise ValueError(f"the packing bound needs k+1 lines in RP^n with 2 <= n < k; got {points.shape[0]} lines")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("the packing bound needs finite rows")
-    if np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) > UNIT_NORM_TOL:
-        raise ValueError("the packing bound needs unit rows: covering_radius assumes them")
     # through this module's name: perfbench's trace wraps it to time packing.covering_s
     two_cov = 2.0 * covering_radius_estimate(points)
     return max(two_cov, np.pi - separation(AntipodalSet(points)), cross_polytope_vdiam_exact(k))
@@ -348,16 +348,10 @@ def best_bound(n: int, k: int, points: np.ndarray | None = None) -> tuple[float,
         return circle_to_sphere_exact(k), "exact"
     value = collapse_bound(k)
     if points is not None:
-        if np.shape(points)[1] != n + 1:
+        if np.shape(points)[-1:] != (n + 1,):
             raise ValueError(f"the packing must hold lines of RP^{n}")
         value = min(value, packing_bound(points, k))
     return value, "upper-bound"
-
-
-def bound_source(n: int, k: int) -> str:
-    if n == 1:
-        return "circle-even" if k % 2 == 0 else "circle-odd"
-    return "even-cross-collapse"
 
 
 def euclidean_bound(two_dgh_geodesic: float) -> float:
@@ -405,12 +399,9 @@ class PackingStore:
             if data["n"] != n or data["m"] != m:
                 return None
             result = PackingResult.from_json_dict(data)
+            if _unit_rows(result.points).shape != (m, n + 1):
+                return None
         except (OSError, ValueError, KeyError, TypeError):
-            return None
-        pts = result.points
-        if pts.shape != (m, n + 1) or not np.all(np.isfinite(pts)):
-            return None
-        if np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) > UNIT_NORM_TOL:
             return None
         return result
 
@@ -448,6 +439,25 @@ def cached_packing(
             except OSError as exc:
                 warnings.warn(f"packing cache save skipped: {exc}", RuntimeWarning, stacklevel=2)
     return result
+
+
+def bound_table(n: int, k_values) -> list[dict]:
+    """The ``bound`` command's rows: ``best_bound(n, k)`` with no packing, and its labels."""
+    rows = []
+    for k in k_values:
+        value, tag = best_bound(n, k)
+        rows.append(
+            {
+                "n": n,
+                "k": k,
+                "two_dgh_bound": value,
+                "two_dgh_bound_over_pi": value / np.pi,
+                "exactness": tag,
+                "euclidean_bound": euclidean_bound(value),
+                "source": ("circle-even" if k % 2 == 0 else "circle-odd") if n == 1 else "even-cross-collapse",
+            }
+        )
+    return rows
 
 
 def asymptotic_table(

@@ -9,6 +9,17 @@ ordered-cell checks draw and reduce their samples in blocks of BLOCK_ROWS
 rows, so their memory does not grow with the budget; each block continues
 its stream's one generator, and a reduction carried across blocks gives the
 bytes it gives on the whole draw.
+
+Each invariant is of one of three kinds.  One-sided sound comparisons hold a
+sampled maximum to at most an exact or certified value: nine-case-bounds,
+estimate-within-bound, vdiam-vs-hausdorff, and covering-below-packing, which
+checks the optimizer by an optimized packing's exact covering radius and
+certified separation.  Estimate-quality windows hold a sample or an optimized
+value near an exact one: uniform-sampling, cross-vdiam-estimate,
+global-distortion-window, circle-five-lines, orthogonal-lines,
+four-lines-plane.  The rest are exact identities, or inequalities at every
+point checked, which only roundoff may break, save boundary-search-dominates,
+the only comparison of two sampled maxima.
 """
 
 from __future__ import annotations
@@ -637,6 +648,8 @@ def run_verify(
     """Run one verification scope (or all) and return its invariant records."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if scope != "all" and scope not in SCOPES:
+        raise ValueError(f"unknown scope {scope!r}")
     if k_values is not None:  # before any scope runs, so a bad k costs no work
         check_k_values(scope, k_values)
     rng = RngStream(seed)
@@ -653,6 +666,4 @@ def run_verify(
             out.extend(check_odd(k_values or [3], samples, rng.child(4), threads))
         elif sc == "packing":
             out.extend(check_packing(rng.child(5)))
-        else:
-            raise ValueError(f"unknown scope {scope!r}")
     return out

@@ -76,6 +76,16 @@ def test_bound_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("--n", "1", "--k", "2..12"), "2f5da4fa3f03c989e042eec419568643233c79217b2c1e10e652f33c2e2f21fe"),
+    (("--n", "2", "--k", "3..40", "--format", "csv"), "a25b0344d3f0ca3b3091585e3704f361513d43c43122deb13a4c28c2ca0289e5"),
+])
+def test_bound_bytes_are_pinned(capsys, argv, digest):
+    code, out = run_cli(capsys, "bound", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_distortion_odd(capsys):
     code, out = run_cli(
         capsys,

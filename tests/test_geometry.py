@@ -244,6 +244,36 @@ def test_normalize_rows_matches_linalg_norm_bitwise(shape):
     assert normalize_rows(arr).tobytes() == (arr / norms).tobytes()
 
 
+@pytest.mark.parametrize("width", range(2, 11))
+def test_normalize_rows_writes_only_the_selected_rows_of_out(width):
+    # widths on both sides of COLUMN_LOOP_WIDTH; the packing loops normalize into buffers this way
+    gen = np.random.default_rng(100 + width)
+    arr = gen.normal(size=(6, 5, width)) * 3.0
+    where = gen.random((6, 1, 1)) < 0.5
+    where[0], where[1] = True, False
+    out = gen.normal(size=arr.shape)
+    out[~where[:, 0, 0]] = np.where(gen.random((int((~where).sum()), 5, width)) < 0.5, 0.0, -0.0)
+    kept = out.copy()
+    got = normalize_rows(arr, out=out, where=where)
+    assert got is out
+    chosen = where[:, 0, 0]
+    want = arr / np.linalg.norm(arr, axis=-1, keepdims=True)
+    assert out[chosen].tobytes() == want[chosen].tobytes()
+    assert out[~chosen].tobytes() == kept[~chosen].tobytes()
+    assert normalize_rows(arr, out=arr) is arr  # in place
+    assert arr.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", [2, COLUMN_LOOP_WIDTH - 1, COLUMN_LOOP_WIDTH, 10])
+def test_normalize_rows_rejects_a_zero_row_outside_where(width):
+    arr = np.ones((3, 2, width))
+    arr[2, 1] = 0.0
+    out = np.full(arr.shape, 7.0)
+    where = np.array([True, True, False])[:, None, None]
+    with pytest.raises(ValueError, match="zero row"):
+        normalize_rows(arr, out=out, where=where)
+
+
 TIE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf])
 
 

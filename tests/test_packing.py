@@ -464,6 +464,19 @@ def test_packing_bound_rejects_non_finite_rows():
             packing_bound(broken, 4)
 
 
+@pytest.mark.parametrize("points", [
+    np.array([1.0, 0.0, 0.0]),
+    np.ones((4, 3, 1)),
+    np.array(1.0),
+], ids=["one-row", "three-axes", "scalar"])
+def test_packing_bound_rejects_points_that_are_not_a_2d_array(points):
+    # bad input, rejected by the unit-row check before any row or axis is indexed
+    with pytest.raises(ValueError, match="2-D array"):
+        packing_bound(points, 3)
+    with pytest.raises(ValueError):
+        best_bound(2, 3, points)
+
+
 def test_best_bound_closed_forms():
     assert best_bound(1, 4) == (pytest.approx(4 * np.pi / 5, abs=1e-15), "exact")
     assert best_bound(1, 5) == (pytest.approx(4 * np.pi / 5, abs=1e-15), "exact")

@@ -165,3 +165,10 @@ def test_check_packing_optimizes_each_size_once(monkeypatch):
     results = verify.check_packing(RngStream(0).child(5))
     assert sorted(calls) == [(1, 5), (2, 3), (2, 4), (2, 6), (3, 8)]
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("k_values", [None, [3]])
+def test_run_verify_names_an_unknown_scope(k_values):
+    # the scope is checked before its k values, whose message would name the wrong fault
+    with pytest.raises(ValueError, match="unknown scope 'bogus'"):
+        verify.run_verify("bogus", k_values=k_values)
